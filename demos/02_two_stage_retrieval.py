@@ -61,11 +61,11 @@ for rank, (ref, prob, unanswerable) in enumerate(result.ranked, start=1):
     print(f"  rank {rank}: reference {ref:3d}  p = {prob:.4f}{mark}")
 
 # %% [markdown]
-# ## Models round-trip through JSON byte-for-byte
+# ## Models round-trip bit for bit through the binary model file
 
 # %%
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "model.json"
+    path = Path(tmp) / "model.bin"
     save_model(model, path)
     reloaded = load_model(path)
     again = retrieve(reloaded, ds, qi, k=5)

@@ -130,11 +130,14 @@ def _parse_pairs(text: str) -> list:
 
 def _read_queries_file(path) -> list:
     '''Accept a JSON list of ids, or a split file holding a "test" list.'''
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
     if isinstance(doc, dict):
         doc = doc.get("test")
     if not isinstance(doc, list) or not all(isinstance(v, int) for v in doc):
-        raise ValueError(
+        raise DataFormatError(
             f"{path}: expected a JSON list of integers or an object with a "
             f"\"test\" list")
     return doc
@@ -192,13 +195,16 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    dataset = load_dataset(args.data)
-    model = load_model(args.model)
     query_ids = None
     if args.queries is not None:
         query_ids = _parse_ints(args.queries, "query ids")
     elif args.queries_file is not None:
         query_ids = _read_queries_file(args.queries_file)
+    if query_ids is not None and len(set(query_ids)) != len(query_ids):
+        # the results file keeps one contiguous block of rows per query
+        raise ValueError("duplicate query ids")
+    dataset = load_dataset(args.data)
+    model = load_model(args.model)
     results = batch_retrieve(model, dataset, query_ids=query_ids, k=args.k,
                              mode=args.mode, shortlist_alpha=args.shortlist_alpha,
                              workers=args.workers)
@@ -279,7 +285,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate", help="fit a model on a calibration split")
     p.add_argument("--data", required=True, help="dataset directory or manifest")
-    p.add_argument("--out", required=True, help="model JSON to write")
+    p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--cal-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0, help="split seed")
     p.add_argument("--fuser", choices=("mean", "max"), default="mean")

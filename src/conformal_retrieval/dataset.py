@@ -26,6 +26,7 @@ __all__ = [
     "MultimodalDataset",
     "schema_fingerprint",
     "atomic_write_bytes",
+    "read_binary",
     "write_embedding_file",
     "read_embedding_file",
     "write_mask_file",
@@ -355,7 +356,7 @@ def write_embedding_file(path, matrix):
 
 def read_embedding_file(path) -> np.ndarray:
     '''Read an embedding file back as float64. Rejects malformed files.'''
-    blob = _read_binary(path, _EMB_HEADER.size)
+    blob = read_binary(path, _EMB_HEADER.size)
     magic, version, dtype, _pad, rows, dims = _EMB_HEADER.unpack_from(blob)
     if magic != EMBEDDING_MAGIC:
         raise DataFormatError(f"{path}: bad magic {magic!r}, expected {EMBEDDING_MAGIC!r}")
@@ -385,7 +386,7 @@ def write_mask_file(path, mask):
 
 
 def read_mask_file(path) -> np.ndarray:
-    blob = _read_binary(path, _MASK_HEADER.size)
+    blob = read_binary(path, _MASK_HEADER.size)
     magic, version, _pad, rows, mods = _MASK_HEADER.unpack_from(blob)
     if magic != MASK_MAGIC:
         raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MASK_MAGIC!r}")
@@ -401,7 +402,8 @@ def read_mask_file(path) -> np.ndarray:
     return arr.reshape(rows, mods).astype(bool)
 
 
-def _read_binary(path, min_size):
+def read_binary(path, min_size):
+    '''Read a whole binary file, refusing one shorter than its header.'''
     try:
         with open(path, "rb") as handle:
             blob = handle.read()

@@ -7,12 +7,12 @@ prefix scores 1. A query with no relevant references contributes 0 to all
 three means.
 '''
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .pipeline import _RawNumber, _emit, _render_float
 from .dataset import atomic_write_text
 
 __all__ = [
@@ -127,6 +127,39 @@ def score_correlation(x, y):
     pearson = float(np.corrcoef(x, y)[0, 1])
     spearman = float(np.corrcoef(rankdata(x), rankdata(y))[0, 1])
     return pearson, spearman
+
+
+class _RawNumber(str):
+    '''A pre-rendered JSON number, emitted without quotes.'''
+
+
+def _render_float(x) -> _RawNumber:
+    return _RawNumber(format(float(x), ".17g"))
+
+
+def _emit(node, indent: int = 0) -> str:
+    pad = "  " * indent
+    if isinstance(node, _RawNumber):
+        return str(node)
+    if isinstance(node, str):
+        return json.dumps(node)
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if isinstance(node, int):
+        return str(node)
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        inner = ",\n".join(
+            f"{pad}  {json.dumps(k)}: {_emit(v, indent + 1)}"
+            for k, v in node.items())
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(node, (list, tuple)):
+        if all(isinstance(v, _RawNumber) for v in node):
+            return "[" + ", ".join(node) + "]"
+        inner = ",\n".join(f"{pad}  {_emit(v, indent + 1)}" for v in node)
+        return "[\n" + inner + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(node).__name__}")
 
 
 def write_report(report: MetricsReport, path):

@@ -14,9 +14,9 @@ accumulation order in fuse() and _fuse_tables() in sync when editing.
 
 import json
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .conformal import (
     conformal_probability,
     fit_band_arrays,
 )
-from .dataset import DataFormatError, atomic_write_text
+from .dataset import DataFormatError, atomic_write_bytes, read_binary
 from .similarity import UNOBSERVED, pairwise_score_table, similarity_matrix
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "ConformalMatrix",
     "CalibratedModel",
     "ModelDataMismatchError",
+    "check_compatible",
     "build_calibration_pairs",
     "fit_model",
     "conformal_matrix",
@@ -44,7 +45,11 @@ __all__ = [
     "load_model",
 ]
 
-MODEL_FILE_VERSION = 1
+MODEL_MAGIC = b"A2AC"
+MODEL_FILE_VERSION = 2
+
+# magic | u16 version | u16 pad | u64 metadata bytes
+_MODEL_HEADER = struct.Struct("<4sHHQ")
 
 
 class ModelDataMismatchError(ValueError):
@@ -113,7 +118,8 @@ def _validated_ids(ids, n: int, what: str) -> np.ndarray:
     return arr
 
 
-def _check_compatible(model: CalibratedModel, dataset):
+def check_compatible(model: CalibratedModel, dataset):
+    '''Raise ModelDataMismatchError unless the dataset has the model's schema.'''
     got = dataset.fingerprint()
     if model.schema_fingerprint != got:
         raise ModelDataMismatchError(
@@ -280,7 +286,7 @@ def score_pair(model: CalibratedModel, dataset, query_index: int,
         (probability, unanswerable). An unanswerable combination shares no
         observable modality pair; its probability is reported as 0.0.
     '''
-    _check_compatible(model, dataset)
+    check_compatible(model, dataset)
     sim = similarity_matrix(dataset, query_index, reference_index)
     fused = fuse(conformal_matrix(model, sim), model.fuser)
     if fused is None:
@@ -302,7 +308,7 @@ def score_grid(model: CalibratedModel, dataset, query_ids=None,
         (probabilities, fused, answerable): probabilities are 0.0 and fused
         is -inf where a cell is unanswerable.
     '''
-    _check_compatible(model, dataset)
+    check_compatible(model, dataset)
     if query_ids is None:
         query_ids = np.arange(dataset.n_queries)
     else:
@@ -324,102 +330,57 @@ def score_grid(model: CalibratedModel, dataset, query_ids=None,
 # Serialization
 # ---------------------------------------------------------------------------
 
-class _RawNumber(str):
-    '''A pre-rendered JSON number, emitted without quotes.'''
-
-
-def _render_float(x) -> _RawNumber:
-    return _RawNumber(format(float(x), ".17g"))
-
-
-def _emit(node, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(node, _RawNumber):
-        return str(node)
-    if isinstance(node, str):
-        return json.dumps(node)
-    if isinstance(node, bool):
-        return "true" if node else "false"
-    if isinstance(node, int):
-        return str(node)
-    if isinstance(node, dict):
-        if not node:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_emit(v, indent + 1)}"
-            for k, v in node.items())
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(node, (list, tuple)):
-        if all(isinstance(v, _RawNumber) for v in node):
-            return "[" + ", ".join(node) + "]"
-        inner = ",\n".join(f"{pad}  {_emit(v, indent + 1)}" for v in node)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(node).__name__}")
-
-
-def _band_fields(band: PredictionBand) -> dict:
-    return {
-        "theta_min": _render_float(band.theta_min),
-        "theta_max": _render_float(band.theta_max),
-        "sorted_gamma": [_render_float(g) for g in band.sorted_gamma],
-    }
-
-
 def save_model(model: CalibratedModel, path):
-    '''Write a model as JSON with floats at 17 significant digits.
+    '''Write a model as a binary file: header, JSON metadata, float64 bands.
 
-    The float format round-trips every double exactly, so load_model
-    restores the model bit for bit; byte output is deterministic.
+    Layout: the fixed header (magic A2AC, u16 version, u16 pad, u64 length
+    of the metadata block), then the compact JSON metadata (schema
+    fingerprint, fuser, and the pair, space and entry count of each
+    first-stage band plus the second stage's entry count), then zero bytes
+    up to the next multiple of 8, then one little-endian float64 payload
+    holding theta_min, theta_max and sorted_gamma for every first-stage band
+    in metadata order and then the second stage. The payload stores the
+    exact bits, so load_model restores the model bit for bit; byte output
+    is deterministic.
     '''
-    first_stage = []
-    for (qmod, rmod), band in model.first_stage.items():
-        entry = {
-            "query_modality": qmod,
-            "reference_modality": rmod,
-            "space": model.pair_spaces[(qmod, rmod)],
-        }
-        entry.update(_band_fields(band))
-        first_stage.append(entry)
-    doc = {
-        "version": MODEL_FILE_VERSION,
+    first_stage = [
+        {"query_modality": qmod, "reference_modality": rmod,
+         "space": model.pair_spaces[(qmod, rmod)], "size": band.size}
+        for (qmod, rmod), band in model.first_stage.items()
+    ]
+    meta = json.dumps({
         "schema_fingerprint": model.schema_fingerprint,
         "fuser": model.fuser.value,
         "first_stage": first_stage,
-        "second_stage": _band_fields(model.second_stage),
-    }
-    atomic_write_text(path, _emit(doc) + "\n")
+        "second_stage": {"size": model.second_stage.size},
+    }, separators=(",", ":")).encode("utf-8")
+    header = _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_FILE_VERSION, 0, len(meta))
+    padding = bytes(-(len(header) + len(meta)) % 8)
+    bands = [*model.first_stage.values(), model.second_stage]
+    payload = np.concatenate([
+        part
+        for band in bands
+        for part in ((band.theta_min, band.theta_max), band.sorted_gamma)
+    ]).astype("<f8", copy=False).tobytes()
+    atomic_write_bytes(path, b"".join((header, meta, padding, payload)))
 
 
-def _parse_band(node, path) -> PredictionBand:
-    if not isinstance(node, dict):
-        raise DataFormatError(f"{path}: band entry must be an object")
+def _meta_size(node, path) -> int:
+    size = node.get("size") if isinstance(node, dict) else None
+    if type(size) is not int or size < 0:
+        raise DataFormatError(f"{path}: band entry needs a non-negative integer size")
+    return size
+
+
+def _read_meta(block: bytes, path):
+    '''Parse the metadata block into (fingerprint, fuser, [(pair, space,
+    size)] for the first stage, second-stage size).'''
     try:
-        return PredictionBand(
-            float(node["theta_min"]),
-            float(node["theta_max"]),
-            np.asarray(node["sorted_gamma"], dtype=np.float64),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: bad prediction band: {exc}") from exc
-
-
-def load_model(path) -> CalibratedModel:
-    '''Read a model written by save_model.
-
-    Raises:
-        DataFormatError: On unparseable JSON, an unsupported version, or
-            band fields that fail validation.
-    '''
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+        doc = json.loads(block.decode("utf-8"))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: metadata is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: expected a JSON object at top level")
-    if doc.get("version") != MODEL_FILE_VERSION:
-        raise DataFormatError(
-            f"{path}: unsupported model version {doc.get('version')!r}")
+        raise DataFormatError(f"{path}: metadata must be a JSON object")
     fingerprint = doc.get("schema_fingerprint")
     if not isinstance(fingerprint, str) or not fingerprint:
         raise DataFormatError(f"{path}: missing schema_fingerprint")
@@ -430,22 +391,75 @@ def load_model(path) -> CalibratedModel:
     entries = doc.get("first_stage")
     if not isinstance(entries, list) or not entries:
         raise DataFormatError(f"{path}: first_stage must be a non-empty list")
-    first_stage = {}
-    pair_spaces = {}
+    first_stage = []
     for entry in entries:
         if not isinstance(entry, dict):
             raise DataFormatError(f"{path}: first_stage entries must be objects")
         try:
-            key = (entry["query_modality"], entry["reference_modality"])
+            pair = (entry["query_modality"], entry["reference_modality"])
             space = entry["space"]
         except KeyError as exc:
             raise DataFormatError(f"{path}: band entry missing {exc}") from exc
-        if key in first_stage:
-            raise DataFormatError(f"{path}: duplicate band for pair {key}")
-        first_stage[key] = _parse_band(entry, path)
-        pair_spaces[key] = space
+        if not all(isinstance(name, str) for name in (*pair, space)):
+            raise DataFormatError(f"{path}: modality and space names must be strings")
+        first_stage.append((pair, space, _meta_size(entry, path)))
     if "second_stage" not in doc:
         raise DataFormatError(f"{path}: missing second_stage")
-    second_stage = _parse_band(doc["second_stage"], path)
+    return fingerprint, fuser, first_stage, _meta_size(doc["second_stage"], path)
+
+
+def load_model(path) -> CalibratedModel:
+    '''Read a model written by save_model.
+
+    Every band is a view into one float64 array over the file's bytes, so
+    loading copies nothing after the read.
+
+    Raises:
+        DataFormatError: On a bad header or metadata block, a payload whose
+            length disagrees with the band sizes, band values that fail
+            validation, or a JSON model from before the binary format.
+    '''
+    blob = read_binary(path, _MODEL_HEADER.size)
+    if blob.startswith(b"{"):
+        raise DataFormatError(
+            f"{path}: JSON model from an older release; re-run calibrate "
+            f"to write the binary format")
+    magic, version, _pad, meta_len = _MODEL_HEADER.unpack_from(blob)
+    if magic != MODEL_MAGIC:
+        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
+    if version != MODEL_FILE_VERSION:
+        raise DataFormatError(f"{path}: unsupported model version {version}")
+    meta_end = _MODEL_HEADER.size + meta_len
+    if meta_end > len(blob):
+        raise DataFormatError(f"{path}: truncated metadata block")
+    fingerprint, fuser, entries, second_size = _read_meta(
+        blob[_MODEL_HEADER.size:meta_end], path)
+    offset = meta_end + (-meta_end) % 8
+    if blob[meta_end:offset].strip(b"\0"):
+        raise DataFormatError(f"{path}: nonzero padding after the metadata block")
+    sizes = [size for _, _, size in entries] + [second_size]
+    expected = 8 * sum(size + 2 for size in sizes)
+    if len(blob) - offset != expected:
+        raise DataFormatError(
+            f"{path}: payload is {len(blob) - offset} bytes, metadata promises "
+            f"{expected}")
+    values = np.frombuffer(blob, dtype="<f8", offset=offset)
+    bands = []
+    start = 0
+    for size in sizes:
+        try:
+            bands.append(PredictionBand(float(values[start]),
+                                        float(values[start + 1]),
+                                        values[start + 2:start + 2 + size]))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: bad prediction band: {exc}") from exc
+        start += size + 2
+    first_stage = {}
+    pair_spaces = {}
+    for (pair, space, _), band in zip(entries, bands):
+        if pair in first_stage:
+            raise DataFormatError(f"{path}: duplicate band for pair {pair}")
+        first_stage[pair] = band
+        pair_spaces[pair] = space
     return CalibratedModel(fingerprint, fuser, first_stage, pair_spaces,
-                           second_stage)
+                           bands[-1])

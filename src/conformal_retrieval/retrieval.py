@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataFormatError, _parse_float, _parse_int, _read_csv, atomic_write_text
-from .pipeline import score_grid
+from .pipeline import check_compatible, score_grid
 from .similarity import pairwise_score_table
 
 __all__ = [
@@ -96,6 +96,9 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
         raise ValueError("k must be at least 1")
     if alpha < 1.0:
         raise ValueError("alpha must be at least 1")
+    check_compatible(model, dataset)
+    if not 0 <= query_index < dataset.n_queries:
+        raise ValueError(f"query id out of range [0, {dataset.n_queries})")
     budget = math.ceil(alpha * k)
     qmods = dataset.schema.query_modalities
     rmods = dataset.schema.reference_modalities

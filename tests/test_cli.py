@@ -145,8 +145,27 @@ class TestRetrieve:
                      "--references", "8", "--query-modalities", "a",
                      "--reference-modalities", "a",
                      "--space", "name=s1,dim=12,sigma=0.2", "--seed", "1"]) == 0
-        assert main(["retrieve", "--data", str(other), "--model", str(model),
-                     "--k", "3", "--out", str(tmp_path / "r.csv")]) == 3
+        for mode in ("exact", "shortlist"):
+            assert main(["retrieve", "--data", str(other), "--model", str(model),
+                         "--k", "3", "--mode", mode,
+                         "--out", str(tmp_path / "r.csv")]) == 3
+
+    def test_duplicate_query_ids_is_exit_1(self, pipeline_dirs, tmp_path):
+        data, model, _ = pipeline_dirs
+        out = tmp_path / "results.csv"
+        assert main(["retrieve", "--data", str(data), "--model", str(model),
+                     "--k", "3", "--queries", "5,5", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[4, 2", '{"test": "4,2"}'],
+                             ids=["not-json", "test-not-a-list"])
+    def test_malformed_queries_file_is_exit_2(self, pipeline_dirs, tmp_path, text):
+        data, model, _ = pipeline_dirs
+        queries = tmp_path / "queries.json"
+        queries.write_text(text)
+        assert main(["retrieve", "--data", str(data), "--model", str(model),
+                     "--k", "3", "--queries-file", str(queries),
+                     "--out", str(tmp_path / "r.csv")]) == 2
 
 
 class TestEvaluate:
@@ -193,6 +212,20 @@ class TestInspect:
 
     def test_missing_model_is_exit_2(self, tmp_path):
         assert main(["inspect", "--model", str(tmp_path / "nope.json")]) == 2
+
+    def test_json_model_is_exit_2(self, pipeline_dirs, tmp_path, capsys):
+        data, _, _ = pipeline_dirs
+        band = {"theta_min": 0, "theta_max": 1, "sorted_gamma": [0.25, 0.5]}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({
+            "version": 1, "schema_fingerprint": "f" * 64, "fuser": "mean",
+            "first_stage": [{"query_modality": "a", "reference_modality": "a",
+                             "space": "s1", **band}],
+            "second_stage": band}, indent=2))
+        assert main(["inspect", "--model", str(old)]) == 2
+        assert main(["retrieve", "--data", str(data), "--model", str(old),
+                     "--k", "3", "--out", str(tmp_path / "r.csv")]) == 2
+        assert "re-run calibrate" in capsys.readouterr().err
 
 
 class TestUsageErrors:

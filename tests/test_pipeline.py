@@ -9,11 +9,13 @@ queries {0, 1}: the ("a","a") band sees scores [1,0,0,1] with labels
 0.8 -> 4/5.
 '''
 
+import struct
+
 import numpy as np
 import pytest
 
 from conformal_retrieval.conformal import PredictionBand
-from conformal_retrieval.dataset import MultimodalDataset
+from conformal_retrieval.dataset import DataFormatError, MultimodalDataset
 from conformal_retrieval.pipeline import (
     CalibratedModel,
     ConformalMatrix,
@@ -225,6 +227,36 @@ class TestScorePair:
                 assert probs[i, j] == score_pair(model, ds, qi, ri)[0]
 
 
+# A model file as written before the binary format.
+V1_MODEL_JSON = """{
+  "version": 1,
+  "schema_fingerprint": "ffff",
+  "fuser": "mean",
+  "first_stage": [
+    {
+      "query_modality": "a",
+      "reference_modality": "a",
+      "space": "s1",
+      "theta_min": 0,
+      "theta_max": 1,
+      "sorted_gamma": [0.25, 0.5]
+    }
+  ],
+  "second_stage": {
+    "theta_min": 0,
+    "theta_max": 1,
+    "sorted_gamma": [0.25, 0.5]
+  }
+}
+"""
+
+
+def saved_model(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(fit_model(synth_dataset(), list(range(12))), path)
+    return path
+
+
 class TestModelSerialization:
     def test_round_trip_exact(self, tmp_path):
         ds = synth_dataset()
@@ -251,43 +283,64 @@ class TestModelSerialization:
         save_model(model, tmp_path / "m2.json")
         assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
-    def test_seventeen_digit_floats(self, tmp_path):
+    def test_float_bits_stored_exactly(self, tmp_path):
         band = PredictionBand(0.0, 1.0, np.array([1.0 / 3.0, 0.5]))
         model = CalibratedModel("f" * 64, Fuser.MEAN, {("a", "a"): band},
                                 {("a", "a"): "s"}, band)
-        save_model(model, tmp_path / "m.json")
-        text = (tmp_path / "m.json").read_text()
-        assert "0.33333333333333331" in text  # repr of 1/3 at 17 significant digits
+        save_model(model, tmp_path / "m.bin")
+        third = struct.pack("<d", 1.0 / 3.0)
+        assert third in (tmp_path / "m.bin").read_bytes()
+        back = load_model(tmp_path / "m.bin")
+        assert back.first_stage[("a", "a")].sorted_gamma[:1].tobytes() == third
+        assert back.second_stage.sorted_gamma[:1].tobytes() == third
 
     def test_bad_version_rejected(self, tmp_path):
-        ds = synth_dataset()
-        model = fit_model(ds, list(range(12)))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        import json
-
-        doc = json.loads(path.read_text())
-        doc["version"] = 3
-        path.write_text(json.dumps(doc))
-        from conformal_retrieval.dataset import DataFormatError
-
-        with pytest.raises(DataFormatError):
+        path = saved_model(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[4:6] = struct.pack("<H", 3)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="version 3"):
             load_model(path)
 
     def test_corrupt_gamma_rejected(self, tmp_path):
-        ds = synth_dataset()
-        model = fit_model(ds, list(range(12)))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        import json
-
-        doc = json.loads(path.read_text())
-        doc["second_stage"]["sorted_gamma"] = [0.5, 0.1]
-        path.write_text(json.dumps(doc))
-        from conformal_retrieval.dataset import DataFormatError
-
-        with pytest.raises(DataFormatError):
+        path = saved_model(tmp_path)
+        blob = path.read_bytes()
+        # the last two payload entries are the tail of the second stage
+        path.write_bytes(blob[:-16] + struct.pack("<2d", 0.5, 0.1))
+        with pytest.raises(DataFormatError, match="sorted"):
             load_model(path)
+
+    def test_bad_magic_rejected(self, tmp_path):
+        path = saved_model(tmp_path)
+        path.write_bytes(b"A2AE" + path.read_bytes()[4:])
+        with pytest.raises(DataFormatError, match="magic"):
+            load_model(path)
+
+    @pytest.mark.parametrize("mutate, message", [
+        pytest.param(lambda blob: blob[:-8], "payload is", id="short-payload"),
+        pytest.param(lambda blob: blob + bytes(8), "payload is", id="long-payload"),
+        pytest.param(lambda blob: blob[:10], "truncated header", id="short-header"),
+        pytest.param(lambda blob: blob[:40], "metadata", id="short-metadata"),
+    ])
+    def test_length_mismatch_rejected(self, tmp_path, mutate, message):
+        path = saved_model(tmp_path)
+        path.write_bytes(mutate(path.read_bytes()))
+        with pytest.raises(DataFormatError, match=message):
+            load_model(path)
+
+    def test_json_model_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(V1_MODEL_JSON)
+        with pytest.raises(DataFormatError, match="re-run calibrate"):
+            load_model(path)
+
+    def test_loaded_bands_are_aligned_float64(self, tmp_path):
+        back = load_model(saved_model(tmp_path))
+        for band in [*back.first_stage.values(), back.second_stage]:
+            gamma = band.sorted_gamma
+            assert gamma.dtype == np.float64
+            assert gamma.flags.c_contiguous
+            assert gamma.flags.aligned
 
 
 class TestRankEquivalence:

@@ -122,6 +122,21 @@ class TestShortlist:
         with pytest.raises(ValueError):
             retrieve_shortlist(model, tiny_dataset, 0, k=5, alpha=0.5)
 
+    def test_rejects_query_index_out_of_range(self, tiny_dataset):
+        ds = MultimodalDataset(
+            schema=tiny_dataset.schema,
+            query_embeddings=dict(tiny_dataset.query_embeddings),
+            reference_embeddings=dict(tiny_dataset.reference_embeddings),
+            query_mask=np.array([[0, 0], [1, 0], [0, 1]], dtype=bool),
+            reference_mask=tiny_dataset.reference_mask,
+            relevance=tiny_dataset.relevance,
+        )
+        model = fit_model(tiny_dataset, [0, 1])
+        # -3 would wrap to query 0, which has no scoreable modality
+        for qi in (-3, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                retrieve_shortlist(model, ds, qi, k=1)
+
     def test_unanswerable_tail_appended_when_k_exceeds_answerable(self, tiny_dataset):
         ds = MultimodalDataset(
             schema=tiny_dataset.schema,
