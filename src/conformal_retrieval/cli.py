@@ -136,7 +136,7 @@ def _read_queries_file(path) -> list:
         raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
     if isinstance(doc, dict):
         doc = doc.get("test")
-    if not isinstance(doc, list) or not all(isinstance(v, int) for v in doc):
+    if not isinstance(doc, list) or not all(type(v) is int for v in doc):
         raise DataFormatError(
             f"{path}: expected a JSON list of integers or an object with a "
             f"\"test\" list")

@@ -8,28 +8,17 @@ set-valued predictions or a scalar confidence in (roughly) [0, 1].
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "LabeledScore",
     "PredictionBand",
-    "fit_band",
     "fit_band_arrays",
     "normalize_score",
-    "calibration_score",
     "band_set",
     "conformal_probability",
     "brute_force_probability",
 ]
-
-
-class LabeledScore(NamedTuple):
-    '''One calibration observation: a raw score and its binary label.'''
-
-    theta: float
-    y: int
 
 
 @dataclass(frozen=True)
@@ -69,28 +58,16 @@ class PredictionBand:
         return int(self.sorted_gamma.size)
 
 
-def fit_band(pairs) -> PredictionBand:
-    '''Fit a prediction band on labeled calibration scores.
-
-    Args:
-        pairs: Iterable of (theta, y) with y in {0, 1}. At least two pairs,
-            and the thetas must not all be equal.
-
-    Returns:
-        The fitted PredictionBand.
-    '''
-    data = np.asarray([(float(t), int(y)) for t, y in pairs], dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 2:
-        raise ValueError("fit_band needs at least 2 calibration pairs")
-    return fit_band_arrays(data[:, 0], data[:, 1])
-
-
 def fit_band_arrays(theta, y) -> PredictionBand:
-    '''Array form of fit_band: scores and 0/1 labels as parallel 1-d arrays.'''
+    '''Fit a prediction band on raw scores theta and parallel 0/1 labels y.
+
+    Needs at least two finite scores, not all equal. The band keeps the
+    score range and the sorted residuals |y - normalized theta|.
+    '''
     theta = np.asarray(theta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if theta.shape != y.shape or theta.ndim != 1 or theta.size < 2:
-        raise ValueError("fit_band needs at least 2 calibration pairs")
+        raise ValueError("a band needs at least 2 calibration scores")
     if not np.isfinite(theta).all():
         raise ValueError("calibration scores must be finite")
     if not np.isin(y, (0.0, 1.0)).all():
@@ -109,11 +86,6 @@ def normalize_score(band: PredictionBand, theta):
     span = band.theta_max - band.theta_min
     out = np.clip((np.asarray(theta, dtype=np.float64) - band.theta_min) / span, 0.0, 1.0)
     return float(out) if np.ndim(theta) == 0 else out
-
-
-def calibration_score(theta_tilde, y):
-    '''Nonconformity of a normalized score against a binary label.'''
-    return abs(y - theta_tilde)
 
 
 def band_set(band: PredictionBand, theta, epsilon: float) -> set:

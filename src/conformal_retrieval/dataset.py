@@ -27,6 +27,9 @@ __all__ = [
     "schema_fingerprint",
     "atomic_write_bytes",
     "read_binary",
+    "read_csv",
+    "parse_int",
+    "parse_float",
     "write_embedding_file",
     "read_embedding_file",
     "write_mask_file",
@@ -428,9 +431,9 @@ def write_relevance_pairs(path, relevance: RelevanceMap):
 
 def read_relevance_pairs(path, n_queries: int, n_references: int) -> RelevanceMap:
     sets = [set() for _ in range(n_queries)]
-    for row in _read_csv(path, ("query_id", "reference_id")):
-        q = _parse_int(path, "query_id", row[0])
-        r = _parse_int(path, "reference_id", row[1])
+    for row in read_csv(path, ("query_id", "reference_id")):
+        q = parse_int(path, "query_id", row[0])
+        r = parse_int(path, "reference_id", row[1])
         if not 0 <= q < n_queries:
             raise DataFormatError(f"{path}: query_id {q} outside [0, {n_queries})")
         if not 0 <= r < n_references:
@@ -441,12 +444,12 @@ def read_relevance_pairs(path, n_queries: int, n_references: int) -> RelevanceMa
 
 def read_positions(path) -> np.ndarray:
     '''Read an id,x,y CSV; ids must cover 0..n-1. Returns xy ordered by id.'''
-    rows = _read_csv(path, ("id", "x", "y"))
+    rows = read_csv(path, ("id", "x", "y"))
     ids, xs, ys = [], [], []
     for row in rows:
-        ids.append(_parse_int(path, "id", row[0]))
-        xs.append(_parse_float(path, "x", row[1]))
-        ys.append(_parse_float(path, "y", row[2]))
+        ids.append(parse_int(path, "id", row[0]))
+        xs.append(parse_float(path, "x", row[1]))
+        ys.append(parse_float(path, "y", row[2]))
     n = len(ids)
     if sorted(ids) != list(range(n)):
         raise DataFormatError(f"{path}: ids must cover 0..{n - 1} exactly once")
@@ -458,7 +461,8 @@ def read_positions(path) -> np.ndarray:
     return xy
 
 
-def _read_csv(path, expected_header):
+def read_csv(path, expected_header):
+    '''Non-blank rows of a CSV file whose header must be expected_header.'''
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -478,14 +482,16 @@ def _read_csv(path, expected_header):
         raise DataFormatError(f"{path}: cannot read ({exc})") from exc
 
 
-def _parse_int(path, fieldname, text):
+def parse_int(path, fieldname, text):
+    '''int(text), or DataFormatError naming the file and field.'''
     try:
         return int(text)
     except ValueError as exc:
         raise DataFormatError(f"{path}: field {fieldname} has non-integer {text!r}") from exc
 
 
-def _parse_float(path, fieldname, text):
+def parse_float(path, fieldname, text):
+    '''float(text), or DataFormatError naming the file and field.'''
     try:
         return float(text)
     except ValueError as exc:

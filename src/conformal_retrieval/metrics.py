@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .dataset import atomic_write_text
 
@@ -125,8 +124,20 @@ def score_correlation(x, y):
     if x.min() == x.max() or y.min() == y.max():
         raise ValueError("correlation is undefined for constant scores")
     pearson = float(np.corrcoef(x, y)[0, 1])
-    spearman = float(np.corrcoef(rankdata(x), rankdata(y))[0, 1])
+    spearman = float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
     return pearson, spearman
+
+
+def _average_ranks(x):
+    '''1-based ranks of a 1-d array; tied values share their mean rank.'''
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    # a tie run holds ranks starts+1 .. ends
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 class _RawNumber(str):

@@ -7,39 +7,28 @@ observed for a (query, reference) combination, and stage two fits a single
 band on the fused values so the final output is again a calibrated
 probability of relevance. Both stages use the same calibration queries.
 
-The scalar path (score_pair) and the vectorized path (score_grid) perform
-bit-for-bit identical arithmetic; tests assert exact equality. Keep the
-accumulation order in fuse() and _fuse_tables() in sync when editing.
+fit_model and score_grid share one fusion routine, _fuse_tables, so the
+fused values a model is calibrated on are computed exactly as the values it
+later scores.
 '''
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .conformal import (
-    LabeledScore,
-    PredictionBand,
-    conformal_probability,
-    fit_band_arrays,
-)
+from .conformal import PredictionBand, conformal_probability, fit_band_arrays
 from .dataset import DataFormatError, atomic_write_bytes, read_binary
-from .similarity import UNOBSERVED, pairwise_score_table, similarity_matrix
+from .similarity import pairwise_score_table
 
 __all__ = [
     "Fuser",
-    "ConformalMatrix",
     "CalibratedModel",
     "ModelDataMismatchError",
     "check_compatible",
-    "build_calibration_pairs",
     "fit_model",
-    "conformal_matrix",
-    "fuse",
-    "score_pair",
     "score_grid",
     "save_model",
     "load_model",
@@ -61,24 +50,6 @@ class Fuser(str, Enum):
 
     MEAN = "mean"
     MAX = "max"
-
-
-@dataclass
-class ConformalMatrix:
-    '''Stage-one calibrated values on the modality-pair grid.
-
-    Same layout as SimilarityMatrix; a cell is observed only when the score
-    was observable and the model carries a band for that modality pair.
-    '''
-
-    values: np.ndarray
-    observed: np.ndarray
-    query_modalities: tuple = None
-    reference_modalities: tuple = None
-
-    def __post_init__(self):
-        if self.values.shape != self.observed.shape:
-            raise ValueError("values and observed must share a shape")
 
 
 @dataclass(frozen=True)
@@ -127,31 +98,6 @@ def check_compatible(model: CalibratedModel, dataset):
             f"dataset has {got[:12]}...")
 
 
-def build_calibration_pairs(dataset, calibration_ids, pair) -> list:
-    '''Labeled calibration scores for one modality pair.
-
-    Crosses every calibration query with every reference, keeps the
-    combinations where both sides carry the modalities, and labels each
-    score with relevance.
-
-    Args:
-        dataset: MultimodalDataset to read scores and relevance from.
-        calibration_ids: Query indices reserved for calibration.
-        pair: (query modality, reference modality).
-
-    Returns:
-        List of LabeledScore in (query-major, reference) order.
-    '''
-    ids = _validated_ids(calibration_ids, dataset.n_queries, "calibration query")
-    table = pairwise_score_table(dataset, pair, ids, np.arange(dataset.n_references))
-    labels = dataset.relevance.matrix()[ids]
-    obs = table.observed
-    return [
-        LabeledScore(float(t), int(y))
-        for t, y in zip(table.values[obs], labels[obs])
-    ]
-
-
 def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
               negative_subsample=None) -> CalibratedModel:
     '''Fit both calibration stages on a held-out set of queries.
@@ -187,20 +133,24 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
     refs = np.arange(dataset.n_references)
     first_stage = {}
     pair_spaces = {}
-    for pair in dataset.schema.scoreable_pairs():
-        table = pairwise_score_table(dataset, pair, cal, refs)
-        use = table.observed & keep
-        theta = table.values[use]
-        if theta.size < 2 or theta.min() == theta.max():
-            continue
-        first_stage[pair] = fit_band_arrays(theta, labels[use])
-        pair_spaces[pair] = dataset.schema.space_for(*pair).name
+
+    def scored():
+        # each pair is scored once: its table fits the band, then feeds fusion
+        for pair in dataset.schema.scoreable_pairs():
+            table = pairwise_score_table(dataset, pair, cal, refs)
+            use = table.observed & keep
+            theta = table.values[use]
+            if theta.size < 2 or theta.min() == theta.max():
+                continue
+            first_stage[pair] = band = fit_band_arrays(theta, labels[use])
+            pair_spaces[pair] = dataset.schema.space_for(*pair).name
+            yield band, table
+
+    fused, answerable = _fuse_tables(scored(), fuser, labels.shape)
     if not first_stage:
         raise ValueError(
             "no fittable modality pairs: every pair had fewer than two "
             "observable calibration scores or a degenerate score range")
-
-    fused, answerable = _fuse_tables(first_stage, fuser, dataset, cal, refs)
     use = answerable & keep
     if np.count_nonzero(use) < 2:
         raise ValueError("second stage needs at least two fused calibration scores")
@@ -209,59 +159,20 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
                            pair_spaces, second_stage)
 
 
-def conformal_matrix(model: CalibratedModel, sim) -> ConformalMatrix:
-    '''Map a raw SimilarityMatrix through the stage-one bands cell by cell.'''
-    if sim.query_modalities is None or sim.reference_modalities is None:
-        raise ValueError("similarity matrix must carry modality names")
-    values = np.full(sim.values.shape, UNOBSERVED)
-    observed = np.zeros(sim.values.shape, dtype=bool)
-    for i, qmod in enumerate(sim.query_modalities):
-        for j, rmod in enumerate(sim.reference_modalities):
-            band = model.first_stage.get((qmod, rmod))
-            if band is None or not sim.observed[i, j]:
-                continue
-            values[i, j] = conformal_probability(band, float(sim.values[i, j]))
-            observed[i, j] = True
-    return ConformalMatrix(values, observed,
-                           sim.query_modalities, sim.reference_modalities)
-
-
-def fuse(conformal: ConformalMatrix, fuser):
-    '''Combine the observed stage-one values into one score, or None.
-
-    Unobserved cells never participate; a grid with nothing observed fuses
-    to None. Accumulates left to right in row-major order so the result is
-    bit-identical to the vectorized fusion in score_grid.
-    '''
-    fuser = Fuser(fuser)
-    obs = np.asarray(conformal.observed, dtype=bool)
-    if not obs.any():
-        return None
-    vals = np.asarray(conformal.values, dtype=np.float64)[obs]
-    if fuser is Fuser.MEAN:
-        total = 0.0
-        for v in vals:
-            total = total + float(v)
-        return total / vals.size
-    out = -math.inf
-    for v in vals:
-        out = max(out, float(v))
-    return out
-
-
-def _fuse_tables(first_stage, fuser, dataset, query_ids, reference_ids):
+def _fuse_tables(scored, fuser, shape):
     '''Fused stage-one values for every (query, reference) cell.
+
+    scored yields (band, ScoreTable) in first-stage order, every table of
+    the given shape; tables are consumed one at a time, so a lazy iterable
+    never holds every pair's table at once.
 
     Returns:
         (fused, answerable): float grid with -inf where no modality pair was
         observable, and the matching boolean grid.
     '''
-    shape = (len(query_ids), len(reference_ids))
     counts = np.zeros(shape)
     acc = np.zeros(shape) if fuser is Fuser.MEAN else np.full(shape, -np.inf)
-    # iteration order == row-major grid order, matching fuse()
-    for pair, band in first_stage.items():
-        table = pairwise_score_table(dataset, pair, query_ids, reference_ids)
+    for band, table in scored:
         obs = table.observed
         probs = conformal_probability(band, table.values)
         if fuser is Fuser.MEAN:
@@ -278,25 +189,9 @@ def _fuse_tables(first_stage, fuser, dataset, query_ids, reference_ids):
     return fused, answerable
 
 
-def score_pair(model: CalibratedModel, dataset, query_index: int,
-               reference_index: int):
-    '''Calibrated relevance probability for one combination.
-
-    Returns:
-        (probability, unanswerable). An unanswerable combination shares no
-        observable modality pair; its probability is reported as 0.0.
-    '''
-    check_compatible(model, dataset)
-    sim = similarity_matrix(dataset, query_index, reference_index)
-    fused = fuse(conformal_matrix(model, sim), model.fuser)
-    if fused is None:
-        return 0.0, True
-    return conformal_probability(model.second_stage, fused), False
-
-
 def score_grid(model: CalibratedModel, dataset, query_ids=None,
                reference_ids=None):
-    '''Vectorized score_pair over a query x reference grid.
+    '''Calibrated relevance probability of every (query, reference) cell.
 
     Args:
         model: Fitted CalibratedModel.
@@ -318,8 +213,10 @@ def score_grid(model: CalibratedModel, dataset, query_ids=None,
     else:
         reference_ids = _validated_ids(reference_ids, dataset.n_references,
                                        "reference")
-    fused, answerable = _fuse_tables(model.first_stage, model.fuser, dataset,
-                                     query_ids, reference_ids)
+    scored = ((band, pairwise_score_table(dataset, pair, query_ids, reference_ids))
+              for pair, band in model.first_stage.items())
+    fused, answerable = _fuse_tables(scored, model.fuser,
+                                     (len(query_ids), len(reference_ids)))
     safe = np.where(answerable, fused, 0.0)
     probs = np.where(answerable,
                      conformal_probability(model.second_stage, safe), 0.0)

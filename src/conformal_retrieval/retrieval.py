@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataFormatError, _parse_float, _parse_int, _read_csv, atomic_write_text
+from .dataset import DataFormatError, atomic_write_text, parse_float, parse_int, read_csv
 from .pipeline import check_compatible, score_grid
 from .similarity import pairwise_score_table
 
@@ -188,11 +188,11 @@ def read_results_csv(path) -> list:
     results = []
     seen = set()
     current = None
-    for row in _read_csv(path, RESULTS_HEADER):
-        qid = _parse_int(path, "query_id", row[0])
-        rank = _parse_int(path, "rank", row[1])
-        ref = _parse_int(path, "reference_id", row[2])
-        prob = _parse_float(path, "probability", row[3])
+    for row in read_csv(path, RESULTS_HEADER):
+        qid = parse_int(path, "query_id", row[0])
+        rank = parse_int(path, "rank", row[1])
+        ref = parse_int(path, "reference_id", row[2])
+        prob = parse_float(path, "probability", row[3])
         if row[4] not in ("0", "1"):
             raise DataFormatError(
                 f"{path}: unanswerable must be 0 or 1, got {row[4]!r}")

@@ -13,36 +13,14 @@ import numpy as np
 
 __all__ = [
     "UNOBSERVED",
-    "SimilarityMatrix",
     "ScoreTable",
-    "cosine_similarity",
     "cosine_table",
-    "similarity_matrix",
     "pairwise_score_table",
 ]
 
 logger = logging.getLogger(__name__)
 
 UNOBSERVED = -1.0
-
-
-@dataclass
-class SimilarityMatrix:
-    '''Per-modality-pair scores for one (query, reference) combination.
-
-    values has shape (n_query_modalities, n_reference_modalities); observed
-    is a boolean grid of the same shape. Unobserved cells hold UNOBSERVED.
-    The optional modality name tuples label the grid axes.
-    '''
-
-    values: np.ndarray
-    observed: np.ndarray
-    query_modalities: tuple = None
-    reference_modalities: tuple = None
-
-    def __post_init__(self):
-        if self.values.shape != self.observed.shape:
-            raise ValueError("values and observed must share a shape")
 
 
 @dataclass
@@ -62,8 +40,12 @@ def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray) -> np.ndarr
 
     Rows with zero norm score 0 against everything. The contraction goes
     through einsum so every output cell is reduced in the same order
-    regardless of the block shape; the scalar path reuses this kernel on
-    1x1 blocks, which is what makes bulk and scalar results identical.
+    regardless of the block shape: a cell scores the same bits in a full
+    grid, a row block, a reference subset or a 1x1 block. Shortlist
+    retrieval relies on that to match exact retrieval, and so does the
+    per-cell test oracle. BLAS matmul is faster but its reduction order
+    follows the block shape; a fixed-shape tiled GEMM is the way to get its
+    speed without losing the invariance.
     '''
     a = np.asarray(query_rows, dtype=np.float64)
     b = np.asarray(reference_rows, dtype=np.float64)
@@ -82,15 +64,6 @@ def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray) -> np.ndarr
     out[good] = dots[good] / denom[good]
     np.clip(out, -1.0, 1.0, out=out)
     return out
-
-
-def cosine_similarity(u, v) -> float:
-    '''Cosine similarity of two vectors in [-1, 1]; zero-norm input scores 0.'''
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ValueError(f"expected two equal-length vectors, got {u.shape} and {v.shape}")
-    return float(cosine_table(u[None, :], v[None, :])[0, 0])
 
 
 def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> ScoreTable:
@@ -120,21 +93,3 @@ def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> ScoreTable:
     observed = q_present[:, None] & r_present[None, :]
     values[~observed] = UNOBSERVED
     return ScoreTable(values, observed)
-
-
-def similarity_matrix(dataset, query_index: int, reference_index: int) -> SimilarityMatrix:
-    '''Modality-pair score grid for one query against one reference.'''
-    qmods = dataset.schema.query_modalities
-    rmods = dataset.schema.reference_modalities
-    values = np.full((len(qmods), len(rmods)), UNOBSERVED)
-    observed = np.zeros((len(qmods), len(rmods)), dtype=bool)
-    for i, qmod in enumerate(qmods):
-        for j, rmod in enumerate(rmods):
-            if dataset.schema.space_for(qmod, rmod) is None:
-                continue
-            table = pairwise_score_table(
-                dataset, (qmod, rmod), [query_index], [reference_index])
-            if table.observed[0, 0]:
-                values[i, j] = table.values[0, 0]
-                observed[i, j] = True
-    return SimilarityMatrix(values, observed, tuple(qmods), tuple(rmods))

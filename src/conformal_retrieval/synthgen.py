@@ -19,6 +19,8 @@ from .dataset import (
     SharedSpace,
     apply_modality_dropout,
 )
+from .retrieval import RetrievalResult
+from .similarity import pairwise_score_table
 
 __all__ = ["SynthSpace", "SynthConfig", "generate", "heuristic_baseline"]
 
@@ -210,9 +212,6 @@ def heuristic_baseline(dataset, priority, query_ids=None, k=None) -> list:
         List of RetrievalResult whose middle tuple element is the raw
         score that produced the rank, not a calibrated probability.
     '''
-    from .retrieval import RetrievalResult
-    from .similarity import pairwise_score_table
-
     priority = [tuple(pair) for pair in priority]
     if not priority:
         raise ValueError("priority must name at least one modality pair")

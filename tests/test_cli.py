@@ -157,8 +157,8 @@ class TestRetrieve:
                      "--k", "3", "--queries", "5,5", "--out", str(out)]) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["[4, 2", '{"test": "4,2"}'],
-                             ids=["not-json", "test-not-a-list"])
+    @pytest.mark.parametrize("text", ["[4, 2", '{"test": "4,2"}', "[true, false]"],
+                             ids=["not-json", "test-not-a-list", "booleans"])
     def test_malformed_queries_file_is_exit_2(self, pipeline_dirs, tmp_path, text):
         data, model, _ = pipeline_dirs
         queries = tmp_path / "queries.json"

@@ -2,7 +2,7 @@
 Unit tests for the split-conformal band primitives.
 
 Expected values for the small cases were worked out by hand and are frozen
-here on purpose: fit_band on {(0.2,0), (0.5,1), (0.8,1)} must produce the
+here on purpose: fit_band_arrays on {(0.2,0), (0.5,1), (0.8,1)} must produce the
 range [0.2, 0.8] and sorted nonconformity scores [0, 0, 0.5], and the
 probability transform on that band must hit 3/4, 0, and 3/4 for raw scores
 0.65, 0.2, and 0.95.
@@ -15,17 +15,19 @@ import numpy as np
 import pytest
 
 from conformal_retrieval.conformal import (
-    LabeledScore,
     PredictionBand,
     band_set,
     brute_force_probability,
-    calibration_score,
     conformal_probability,
-    fit_band,
+    fit_band_arrays,
     normalize_score,
 )
 
-HAND_PAIRS = [LabeledScore(0.2, 0), LabeledScore(0.5, 1), LabeledScore(0.8, 1)]
+HAND_THETA, HAND_Y = [0.2, 0.5, 0.8], [0, 1, 1]
+
+
+def hand_band():
+    return fit_band_arrays(HAND_THETA, HAND_Y)
 
 
 def random_band(rng, m=200, informative=True):
@@ -34,19 +36,19 @@ def random_band(rng, m=200, informative=True):
     rank = (theta - theta.min()) / (theta.max() - theta.min())
     p = rank if informative else np.full(m, 0.5)
     y = (rng.random(m) < p).astype(int)
-    return fit_band(list(zip(theta, y)))
+    return fit_band_arrays(theta, y)
 
 
 class TestFitBand:
     def test_hand_worked_example(self):
-        band = fit_band(HAND_PAIRS)
+        band = hand_band()
         assert band.theta_min == 0.2
         assert band.theta_max == 0.8
         np.testing.assert_allclose(band.sorted_gamma, [0.0, 0.0, 0.5], atol=1e-15)
         assert band.size == 3
 
     def test_accepts_plain_tuples(self):
-        band = fit_band([(0.2, 0), (0.5, 1), (0.8, 1)])
+        band = fit_band_arrays((0.2, 0.5, 0.8), (0, 1, 1))
         np.testing.assert_allclose(band.sorted_gamma, [0.0, 0.0, 0.5], atol=1e-15)
 
     def test_gamma_sorted_and_bounded(self):
@@ -58,42 +60,44 @@ class TestFitBand:
 
     def test_too_few_pairs_rejected(self):
         with pytest.raises(ValueError):
-            fit_band([(0.5, 1)])
+            fit_band_arrays([0.5], [1])
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValueError):
-            fit_band([(0.4, 0), (0.4, 1), (0.4, 1)])
+            fit_band_arrays([0.4, 0.4, 0.4], [0, 1, 1])
 
     def test_non_binary_label_rejected(self):
         with pytest.raises(ValueError):
-            fit_band([(0.2, 0), (0.8, 2)])
+            fit_band_arrays([0.2, 0.8], [0, 2])
 
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValueError):
-            fit_band([(0.2, 0), (float("nan"), 1)])
+            fit_band_arrays([0.2, float("nan")], [0, 1])
 
 
 class TestNormalizeScore:
     def test_interior_point(self):
-        band = fit_band(HAND_PAIRS)
+        band = hand_band()
         assert normalize_score(band, 0.65) == pytest.approx(0.75)
 
     def test_clamps_both_ends(self):
-        band = fit_band(HAND_PAIRS)
+        band = hand_band()
         assert normalize_score(band, -5.0) == 0.0
         assert normalize_score(band, 0.95) == 1.0
 
     def test_calibration_score_is_absolute_residual(self):
-        assert calibration_score(0.75, 1) == pytest.approx(0.25)
-        assert calibration_score(0.75, 0) == pytest.approx(0.75)
+        # normalized 0.75 scores 0.25 against label 1 and 0.75 against label 0
+        band = fit_band_arrays([0.0, 0.75, 0.75, 1.0], [0, 1, 0, 1])
+        np.testing.assert_allclose(band.sorted_gamma, [0.0, 0.0, 0.25, 0.75],
+                                   atol=1e-15)
 
     def test_affine_rescaling_is_invisible(self):
         # min-max normalization cancels positive affine maps of the raw score
         rng = np.random.default_rng(7)
         theta = rng.uniform(0, 1, size=50)
         y = (rng.random(50) < theta).astype(int)
-        band = fit_band(list(zip(theta, y)))
-        scaled = fit_band(list(zip(3.0 * theta + 0.1, y)))
+        band = fit_band_arrays(theta, y)
+        scaled = fit_band_arrays(3.0 * theta + 0.1, y)
         probe = rng.uniform(-0.2, 1.2, size=200)
         np.testing.assert_allclose(
             normalize_score(band, probe),
@@ -142,7 +146,7 @@ class TestBandSet:
 
 class TestConformalProbability:
     def test_hand_worked_examples(self):
-        band = fit_band(HAND_PAIRS)
+        band = hand_band()
         assert conformal_probability(band, 0.65) == pytest.approx(3 / 4)
         assert conformal_probability(band, 0.2) == 0.0
         assert conformal_probability(band, 0.95) == pytest.approx(3 / 4)
@@ -176,11 +180,11 @@ class TestBruteForceAgreement:
         rng = np.random.default_rng(42)
         theta = rng.uniform(0.0, 1.0, size=59)
         y = (rng.random(59) < theta).astype(int)
-        pairs = list(zip(theta, y)) + [(theta.min(), 0), (theta.max(), 1)]
         # one exact mid-range positive keeps gamma = 0.5 in the ladder, so
         # the set {1} stays reachable for every normalized score above 0.5
-        pairs.append(((theta.min() + theta.max()) / 2.0, 1))
-        band = fit_band(pairs)
+        band = fit_band_arrays(
+            np.r_[theta, theta.min(), theta.max(), (theta.min() + theta.max()) / 2.0],
+            np.r_[y, 0, 1, 1])
         m = band.size
         grid = 1e-4
         for t in rng.uniform(0.501, 1.0, size=40):
@@ -190,7 +194,7 @@ class TestBruteForceAgreement:
             assert abs(got - want) <= grid + 1.0 / (m + 1)
 
     def test_low_scores_sweep_to_zero(self):
-        band = fit_band(HAND_PAIRS)
+        band = hand_band()
         assert brute_force_probability(band, 0.2) == 0.0
 
 
@@ -201,7 +205,7 @@ class TestCoverage:
         m, n_fresh, eps = 500, 4000, 0.1
         theta = rng.uniform(0, 1, size=m + n_fresh)
         y = (rng.random(m + n_fresh) < theta).astype(int)
-        band = fit_band(list(zip(theta[:m], y[:m])))
+        band = fit_band_arrays(theta[:m], y[:m])
         hits = sum(
             int(y[m + i] in band_set(band, theta[m + i], eps))
             for i in range(n_fresh)

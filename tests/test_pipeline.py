@@ -14,23 +14,19 @@ import struct
 import numpy as np
 import pytest
 
-from conformal_retrieval.conformal import PredictionBand
+import conformal_retrieval.pipeline as pipeline_module
+from conformal_retrieval.conformal import PredictionBand, conformal_probability
 from conformal_retrieval.dataset import DataFormatError, MultimodalDataset
 from conformal_retrieval.pipeline import (
     CalibratedModel,
-    ConformalMatrix,
     Fuser,
     ModelDataMismatchError,
-    build_calibration_pairs,
-    conformal_matrix,
     fit_model,
-    fuse,
     load_model,
     save_model,
     score_grid,
-    score_pair,
 )
-from conformal_retrieval.similarity import UNOBSERVED, similarity_matrix
+from conformal_retrieval.similarity import pairwise_score_table
 from conformal_retrieval.synthgen import SynthConfig, SynthSpace, generate
 
 
@@ -58,40 +54,62 @@ def synth_dataset(seed=42, **overrides):
 
 
 class TestBuildCalibrationPairs:
+    '''A stage-one band holds one score per observed calibration cell.'''
+
     def test_full_cross_product(self, tiny_dataset):
-        pairs = build_calibration_pairs(tiny_dataset, [0, 1], ("a", "a"))
-        assert [(round(t, 12), y) for t, y in pairs] == [
-            (1.0, 1), (0.0, 0), (0.0, 0), (1.0, 1)]
+        band = fit_model(tiny_dataset, [0, 1]).first_stage[("a", "a")]
+        # 2 calibration queries x 2 references, scores [1, 0, 0, 1]
+        assert (band.theta_min, band.theta_max, band.size) == (0.0, 1.0, 4)
+        np.testing.assert_array_equal(band.sorted_gamma, [0, 0, 0, 0])
 
     def test_missing_query_modality_drops_rows(self, tiny_dataset):
-        # query 2 has no "a", so only query 0 contributes
-        pairs = build_calibration_pairs(tiny_dataset, [0, 2], ("a", "a"))
-        assert [(round(t, 12), y) for t, y in pairs] == [(1.0, 1), (0.0, 0)]
+        # query 2 has no "a", so only query 0 contributes to ("a", "a")
+        model = fit_model(tiny_dataset, [0, 2])
+        assert model.first_stage[("a", "a")].size == 2
+        assert model.first_stage[("b", "b")].size == 4
 
     def test_labels_follow_relevance(self, tiny_dataset):
-        pairs = build_calibration_pairs(tiny_dataset, [0], ("b", "b"))
-        assert [y for _, y in pairs] == [1, 0]
+        # query 0 is relevant to reference 0, which it scores 0 on "b" (and
+        # reference 1 scores 1), so both nonconformity scores are 1
+        band = fit_model(tiny_dataset, [0]).first_stage[("b", "b")]
+        np.testing.assert_array_equal(band.sorted_gamma, [1, 1])
+
+
+def masked_tiny(tiny_dataset):
+    '''tiny_dataset with reference 1 carrying only "b".'''
+    return MultimodalDataset(
+        schema=tiny_dataset.schema,
+        query_embeddings=dict(tiny_dataset.query_embeddings),
+        reference_embeddings=dict(tiny_dataset.reference_embeddings),
+        query_mask=tiny_dataset.query_mask,
+        reference_mask=np.array([[1, 1], [0, 1]], dtype=bool),
+        relevance=tiny_dataset.relevance,
+    )
 
 
 class TestFuse:
-    def grid(self, values, observed):
-        return ConformalMatrix(np.array(values, dtype=float), np.array(observed))
+    '''Fusion over the observed stage-one values, read from score_grid.'''
 
-    def test_mean_single_observed(self):
-        conf = self.grid([[UNOBSERVED, 0.7], [UNOBSERVED, UNOBSERVED]],
-                         [[False, True], [False, False]])
-        assert fuse(conf, Fuser.MEAN) == pytest.approx(0.7)
+    def test_mean_single_observed(self, tiny_dataset):
+        # query 1 only has "a": the fused value is its ("a", "a") value
+        model = fit_model(tiny_dataset, [0, 1])
+        _, fused, _ = score_grid(model, tiny_dataset, [1], [1])
+        assert fused[0, 0] == pytest.approx(4 / 5)
 
-    def test_mean_and_max_over_observed_entries(self):
-        conf = self.grid([[0.2, 0.4], [UNOBSERVED, 0.6]],
-                         [[True, True], [False, True]])
-        assert fuse(conf, Fuser.MEAN) == pytest.approx(0.4, abs=1e-12)
-        assert fuse(conf, Fuser.MAX) == pytest.approx(0.6)
+    def test_mean_and_max_over_observed_entries(self, tiny_dataset):
+        # (0, 0) has stage-one values 4/5 on ("a", "a") and 0 on ("b", "b")
+        mean = fit_model(tiny_dataset, [0, 1])
+        assert score_grid(mean, tiny_dataset, [0], [0])[1][0, 0] == pytest.approx(
+            0.4, abs=1e-12)
+        top = fit_model(tiny_dataset, [0, 1], fuser=Fuser.MAX)
+        assert score_grid(top, tiny_dataset, [0], [0])[1][0, 0] == pytest.approx(0.8)
 
-    def test_nothing_observed_is_none(self):
-        conf = self.grid([[UNOBSERVED]], [[False]])
-        assert fuse(conf, Fuser.MEAN) is None
-        assert fuse(conf, Fuser.MAX) is None
+    def test_nothing_observed_is_none(self, tiny_dataset):
+        ds = masked_tiny(tiny_dataset)
+        for fuser in Fuser:
+            model = fit_model(ds, [0, 1], fuser=fuser)
+            probs, fused, answerable = score_grid(model, ds, [1], [1])
+            assert (probs[0, 0], fused[0, 0], answerable[0, 0]) == (0.0, -np.inf, False)
 
 
 class TestFitModel:
@@ -109,9 +127,23 @@ class TestFitModel:
 
     def test_hand_worked_final_scores(self, tiny_dataset):
         model = fit_model(tiny_dataset, [0, 1])
-        assert score_pair(model, tiny_dataset, 0, 0) == (pytest.approx(3 / 5), False)
-        assert score_pair(model, tiny_dataset, 1, 1) == (pytest.approx(4 / 5), False)
-        assert score_pair(model, tiny_dataset, 0, 1) == (0.0, False)
+        probs, _, answerable = score_grid(model, tiny_dataset, [0, 1], [0, 1])
+        assert probs[0, 0] == pytest.approx(3 / 5)
+        assert probs[1, 1] == pytest.approx(4 / 5)
+        assert probs[0, 1] == 0.0
+        assert answerable.all()
+
+    def test_scores_each_pair_once(self, tiny_dataset, monkeypatch):
+        calls = []
+        original = pipeline_module.pairwise_score_table
+
+        def counting(dataset, pair, *ids):
+            calls.append(pair)
+            return original(dataset, pair, *ids)
+
+        monkeypatch.setattr(pipeline_module, "pairwise_score_table", counting)
+        fit_model(tiny_dataset, [0, 1])
+        assert calls == [("a", "a"), ("b", "b")]
 
     def test_unfittable_pair_is_omitted(self, tiny_dataset):
         # with only query 1 in calibration, modality "b" has no usable rows
@@ -164,6 +196,8 @@ class TestFitModel:
 
 
 class TestConformalMatrix:
+    '''Stage-one values come only from pairs the model has a band for.'''
+
     def test_missing_band_means_unobserved(self, tiny_dataset):
         model = fit_model(tiny_dataset, [0, 1])
         trimmed = CalibratedModel(
@@ -173,58 +207,55 @@ class TestConformalMatrix:
             pair_spaces={("a", "a"): "s1"},
             second_stage=model.second_stage,
         )
-        sim = similarity_matrix(tiny_dataset, 0, 0)
-        conf = conformal_matrix(trimmed, sim)
-        assert conf.observed[0, 0]
-        assert not conf.observed[1, 1]
-        assert conf.values[1, 1] == UNOBSERVED
+        probs, fused, answerable = score_grid(trimmed, tiny_dataset)
+        # (0, 0) fuses its ("a", "a") value alone, not the mean with ("b", "b")
+        assert fused[0, 0] == pytest.approx(4 / 5)
+        # query 2 only has "b"
+        assert not answerable[2].any()
+        np.testing.assert_array_equal(probs[2], [0.0, 0.0])
 
     def test_probabilities_in_unit_interval(self):
         ds = synth_dataset()
         model = fit_model(ds, list(range(12)))
-        for qi in range(4):
-            conf = conformal_matrix(model, similarity_matrix(ds, qi, 5))
-            vals = conf.values[conf.observed]
+        for pair, band in model.first_stage.items():
+            table = pairwise_score_table(ds, pair, range(4), [5])
+            vals = conformal_probability(band, table.values)[table.observed]
             assert np.all(vals >= 0) and np.all(vals <= 1)
 
 
 class TestScorePair:
+    '''score_grid against the per-cell oracle in conftest.'''
+
     def test_unanswerable_flag(self, tiny_dataset):
-        ds = MultimodalDataset(
-            schema=tiny_dataset.schema,
-            query_embeddings=dict(tiny_dataset.query_embeddings),
-            reference_embeddings=dict(tiny_dataset.reference_embeddings),
-            query_mask=tiny_dataset.query_mask,
-            reference_mask=np.array([[1, 1], [0, 1]], dtype=bool),
-            relevance=tiny_dataset.relevance,
-        )
+        ds = masked_tiny(tiny_dataset)
         model = fit_model(ds, [0, 1])
-        prob, unanswerable = score_pair(model, ds, 1, 1)  # "a"-only vs "b"-only
-        assert (prob, unanswerable) == (0.0, True)
+        probs, _, answerable = score_grid(model, ds, [1], [1])  # "a"-only vs "b"-only
+        assert (probs[0, 0], answerable[0, 0]) == (0.0, False)
 
     def test_fingerprint_mismatch_rejected(self, tiny_dataset):
         ds = synth_dataset()
         model = fit_model(ds, list(range(12)))
         with pytest.raises(ModelDataMismatchError):
-            score_pair(model, tiny_dataset, 0, 0)
+            score_grid(model, tiny_dataset, [0], [0])
 
-    def test_grid_matches_scalar_exactly(self):
+    def test_grid_matches_scalar_exactly(self, cell_oracle):
         ds = synth_dataset()
         model = fit_model(ds, list(range(12)))
         probs, fused, answerable = score_grid(model, ds)
         for qi in range(ds.n_queries):
             for ri in range(ds.n_references):
-                prob, unanswerable = score_pair(model, ds, qi, ri)
-                assert probs[qi, ri] == prob
-                assert answerable[qi, ri] == (not unanswerable)
+                want = cell_oracle(model, ds, qi, ri)
+                assert (probs[qi, ri], fused[qi, ri], answerable[qi, ri]) == want
 
-    def test_max_fuser_grid_matches_scalar(self):
+    def test_max_fuser_grid_matches_scalar(self, cell_oracle):
         ds = synth_dataset(seed=5)
         model = fit_model(ds, list(range(12)), fuser=Fuser.MAX)
-        probs, _, _ = score_grid(model, ds, query_ids=[3, 7], reference_ids=[0, 4, 9])
-        for i, qi in enumerate([3, 7]):
-            for j, ri in enumerate([0, 4, 9]):
-                assert probs[i, j] == score_pair(model, ds, qi, ri)[0]
+        probs, fused, _ = score_grid(model, ds)
+        for qi in range(ds.n_queries):
+            for ri in range(ds.n_references):
+                assert probs[qi, ri] == cell_oracle(model, ds, qi, ri)[0]
+        sub, _, _ = score_grid(model, ds, query_ids=[3, 7], reference_ids=[0, 4, 9])
+        np.testing.assert_array_equal(sub, probs[np.ix_([3, 7], [0, 4, 9])])
 
 
 # A model file as written before the binary format.

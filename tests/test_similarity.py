@@ -1,9 +1,9 @@
 '''
 Unit tests for cosine scoring and the masked score tables.
 
-The bulk table and scalar paths must agree bit for bit, not just within a
-tolerance: downstream calibration counts strictly-less comparisons, so a
-single flipped ulp could move a probability.
+A cell must score the same bits in a bulk table as in a 1x1 block, not just
+within a tolerance: downstream calibration counts strictly-less
+comparisons, so a single flipped ulp could move a probability.
 '''
 
 import math
@@ -11,12 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from conformal_retrieval.similarity import (
-    UNOBSERVED,
-    cosine_similarity,
-    pairwise_score_table,
-    similarity_matrix,
-)
+from conformal_retrieval.similarity import UNOBSERVED, cosine_table, pairwise_score_table
+
+
+def cosine_similarity(u, v) -> float:
+    '''Cosine of two vectors, scored as a 1x1 block.'''
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    return float(cosine_table(u[None, :], v[None, :])[0, 0])
 
 
 class TestCosineSimilarity:
@@ -47,7 +49,9 @@ class TestCosineSimilarity:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            cosine_similarity([1.0, 2.0], [1.0, 2.0, 3.0])
+            cosine_table(np.ones((1, 2)), np.ones((1, 3)))
+        with pytest.raises(ValueError):
+            cosine_table(np.ones(2), np.ones(2))
 
 
 class TestPairwiseScoreTable:
@@ -63,8 +67,6 @@ class TestPairwiseScoreTable:
 
     def test_bulk_matches_scalar_on_random_block(self):
         # independent of any dataset plumbing: a raw 50x80 cross check
-        from conformal_retrieval.similarity import cosine_table
-
         rng = np.random.default_rng(42)
         q = rng.standard_normal((50, 16))
         r = rng.standard_normal((80, 16))
@@ -72,6 +74,10 @@ class TestPairwiseScoreTable:
         sampled = rng.integers(0, 50, size=60), rng.integers(0, 80, size=60)
         for a, b in zip(*sampled):
             assert table[a, b] == cosine_similarity(q[a], r[b])
+        # a row block against a reference subset scores the same bits
+        refs = [3, 7, 50, 79]
+        np.testing.assert_array_equal(cosine_table(q[10:20], r[refs]),
+                                      table[10:20][:, refs])
 
     def test_masked_cells_carry_sentinel(self, tiny_dataset):
         table = pairwise_score_table(tiny_dataset, ("b", "b"), [0, 1, 2], [0, 1])
@@ -86,18 +92,20 @@ class TestPairwiseScoreTable:
 
 
 class TestSimilarityMatrix:
+    '''Per-cell scores across the modality grid of one combination.'''
+
     def test_observability_pattern(self, tiny_dataset):
-        sim = similarity_matrix(tiny_dataset, 1, 0)
-        # query 1 only has "a"; pair grid is query-modality x reference-modality
-        np.testing.assert_array_equal(sim.observed,
-                                      [[True, False], [False, False]])
-        assert sim.values[1, 1] == UNOBSERVED
-        assert sim.values[0, 1] == UNOBSERVED  # (a, b) has no shared space
+        # (a, b) and (b, a) share no space, so the grid has two scoreable cells
+        assert tiny_dataset.schema.scoreable_pairs() == (("a", "a"), ("b", "b"))
+        # query 1 only has "a"
+        observed = [pairwise_score_table(tiny_dataset, pair, [1], [0]).observed[0, 0]
+                    for pair in tiny_dataset.schema.scoreable_pairs()]
+        assert observed == [True, False]
 
     def test_values_match_scalar_cosine(self, tiny_dataset):
-        sim = similarity_matrix(tiny_dataset, 0, 1)
+        table = pairwise_score_table(tiny_dataset, ("b", "b"), [0], [1])
         want = cosine_similarity(
             tiny_dataset.query_embeddings[("b", "s2")][0],
             tiny_dataset.reference_embeddings[("b", "s2")][1],
         )
-        assert sim.values[1, 1] == want
+        assert table.values[0, 0] == want
