@@ -13,13 +13,12 @@ import numpy as np
 from conformal_retrieval.dataset import split_queries
 from conformal_retrieval.metrics import ranking_metrics
 from conformal_retrieval.pipeline import fit_model
-from conformal_retrieval.retrieval import batch_retrieve, retrieve
-from conformal_retrieval.synthgen import (
-    SynthConfig,
-    SynthSpace,
-    generate,
+from conformal_retrieval.retrieval import (
+    batch_retrieve,
     heuristic_baseline,
+    retrieve,
 )
+from conformal_retrieval.synthgen import SynthConfig, SynthSpace, generate
 
 config = SynthConfig(
     n_queries=400, n_references=80,

@@ -23,8 +23,13 @@ from .dataset import (
 )
 from .metrics import ranking_metrics, write_report
 from .pipeline import ModelDataMismatchError, fit_model, load_model, save_model
-from .retrieval import batch_retrieve, read_results_csv, write_results_csv
-from .synthgen import SynthConfig, SynthSpace, generate, heuristic_baseline
+from .retrieval import (
+    batch_retrieve,
+    heuristic_baseline,
+    read_results_csv,
+    write_results_csv,
+)
+from .synthgen import SynthConfig, SynthSpace, generate
 
 __all__ = ["main"]
 

@@ -17,7 +17,6 @@ __all__ = [
     "normalize_score",
     "band_set",
     "conformal_probability",
-    "brute_force_probability",
 ]
 
 
@@ -118,28 +117,3 @@ def conformal_probability(band: PredictionBand, theta):
     out = count / (band.size + 1)
     return float(out) if np.ndim(theta) == 0 else out
 
-
-def brute_force_probability(band: PredictionBand, theta, grid_step: float = 1e-4):
-    '''Grid-sweep reference for conformal_probability.
-
-    Sweeps epsilon over a uniform grid and returns 1 minus the smallest
-    epsilon whose prediction set is exactly {1}; 0.0 if no grid point gets
-    there. Intentionally re-derives the thresholds instead of reusing
-    conformal_probability.
-    '''
-    if not 0.0 < grid_step <= 1.0:
-        raise ValueError("grid_step must lie in (0, 1]")
-    m = band.size
-    eps = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
-    ranks = np.ceil((m + 1) * (1.0 - eps))
-    alpha = np.full(eps.shape, np.inf)
-    inside = (ranks >= 1) & (ranks <= m)
-    alpha[inside] = band.sorted_gamma[ranks[inside].astype(int) - 1]
-    alpha[ranks < 1] = -np.inf  # empty set by convention
-    theta_tilde = normalize_score(band, theta)
-    has_zero = theta_tilde <= alpha
-    has_one = (1.0 - theta_tilde) <= alpha
-    exactly_one = has_one & ~has_zero
-    if not exactly_one.any():
-        return 0.0
-    return float(1.0 - eps[int(np.argmax(exactly_one))])

@@ -168,6 +168,8 @@ class ModalitySchema:
         if not pair_space:
             raise DataFormatError("schema has no scoreable modality pair")
         object.__setattr__(self, "_pair_space", pair_space)
+        # the schema is frozen, so its digest is taken once, here
+        object.__setattr__(self, "_fingerprint", schema_fingerprint(self))
 
     def scoreable_pairs(self) -> tuple:
         '''Covered (query modality, reference modality) pairs in schema order.'''
@@ -337,7 +339,7 @@ class MultimodalDataset:
         return int(self.reference_mask.shape[0])
 
     def fingerprint(self) -> str:
-        return schema_fingerprint(self.schema)
+        return self.schema._fingerprint
 
 
 # ---------------------------------------------------------------------------

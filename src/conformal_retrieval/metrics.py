@@ -1,4 +1,4 @@
-'''Ranking quality metrics and score-agreement helpers.
+'''Ranking quality metrics and their deterministic JSON report.
 
 Recall@k is a hit rate: the fraction of queries with at least one relevant
 reference in the top k. Precision@k averages (#relevant in top k)/k, and
@@ -17,7 +17,6 @@ from .dataset import atomic_write_text
 __all__ = [
     "MetricsReport",
     "ranking_metrics",
-    "score_correlation",
     "write_report",
 ]
 
@@ -51,7 +50,8 @@ def ranking_metrics(results, relevance, ks) -> MetricsReport:
             query_index and ranked the same way).
         relevance: RelevanceMap giving the relevant set per query.
         ks: Cutoffs, each between 1 and the reference count. Every result
-            must carry at least max(ks) entries.
+            must carry at least max(ks) distinct reference ids, each inside
+            the relevance map.
 
     Returns:
         MetricsReport with one value per cutoff.
@@ -82,6 +82,10 @@ def ranking_metrics(results, relevance, ks) -> MetricsReport:
                 f"result for query {qi} has {len(refs)} entries, needs {max_k}")
         if len(set(refs)) != len(refs):
             raise ValueError(f"result for query {qi} has duplicate references")
+        if not 0 <= min(refs) <= max(refs) < relevance.n_references:
+            raise ValueError(
+                f"result for query {qi} has a reference id outside "
+                f"[0, {relevance.n_references})")
         if any(not un for _, _, un in res.ranked):
             answerable += 1
         rel = relevance.relevant[qi]
@@ -104,40 +108,6 @@ def ranking_metrics(results, relevance, ks) -> MetricsReport:
         query_count=n,
         answerable_query_count=answerable,
     )
-
-
-def score_correlation(x, y):
-    '''Pearson and Spearman correlation between two score vectors.
-
-    Ties get average ranks. Needs at least 3 finite values per side and
-    nonzero variance in both.
-
-    Returns:
-        (pearson, spearman) as floats.
-    '''
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 3:
-        raise ValueError("need two equal-length 1-d vectors of size >= 3")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("scores must be finite")
-    if x.min() == x.max() or y.min() == y.max():
-        raise ValueError("correlation is undefined for constant scores")
-    pearson = float(np.corrcoef(x, y)[0, 1])
-    spearman = float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
-    return pearson, spearman
-
-
-def _average_ranks(x):
-    '''1-based ranks of a 1-d array; tied values share their mean rank.'''
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], x.size]
-    ranks = np.empty(x.size)
-    # a tie run holds ranks starts+1 .. ends
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
 
 
 class _RawNumber(str):

@@ -28,6 +28,7 @@ __all__ = [
     "CalibratedModel",
     "ModelDataMismatchError",
     "check_compatible",
+    "validated_ids",
     "fit_model",
     "score_grid",
     "save_model",
@@ -80,7 +81,8 @@ class CalibratedModel:
             raise ValueError("first_stage and pair_spaces must cover the same pairs")
 
 
-def _validated_ids(ids, n: int, what: str) -> np.ndarray:
+def validated_ids(ids, n: int, what: str) -> np.ndarray:
+    '''A non-empty 1-d id array with every id in [0, n), or ValueError.'''
     arr = np.asarray(ids, dtype=np.intp)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"need at least one {what} id")
@@ -117,7 +119,7 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
         The fitted CalibratedModel.
     '''
     fuser = Fuser(fuser)
-    cal = _validated_ids(calibration_ids, dataset.n_queries, "calibration query")
+    cal = validated_ids(calibration_ids, dataset.n_queries, "calibration query")
     if np.unique(cal).size != cal.size:
         raise ValueError("duplicate calibration query ids")
     labels = dataset.relevance.matrix()[cal]
@@ -207,12 +209,12 @@ def score_grid(model: CalibratedModel, dataset, query_ids=None,
     if query_ids is None:
         query_ids = np.arange(dataset.n_queries)
     else:
-        query_ids = _validated_ids(query_ids, dataset.n_queries, "query")
+        query_ids = validated_ids(query_ids, dataset.n_queries, "query")
     if reference_ids is None:
         reference_ids = np.arange(dataset.n_references)
     else:
-        reference_ids = _validated_ids(reference_ids, dataset.n_references,
-                                       "reference")
+        reference_ids = validated_ids(reference_ids, dataset.n_references,
+                                      "reference")
     scored = ((band, pairwise_score_table(dataset, pair, query_ids, reference_ids))
               for pair, band in model.first_stage.items())
     fused, answerable = _fuse_tables(scored, model.fuser,

@@ -5,7 +5,8 @@ second stage is a monotone step function of it: sorting by the fused value
 refines probability ties without ever contradicting the probabilities.
 Ties break toward the smaller reference index. Combinations with no
 observable modality pair sink to the tail with probability 0 and an
-unanswerable flag.
+unanswerable flag. One ordering helper serves exact retrieval, the
+shortlist's per-pair candidate pick and the raw-score baseline.
 '''
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataFormatError, atomic_write_text, parse_float, parse_int, read_csv
-from .pipeline import check_compatible, score_grid
+from .pipeline import check_compatible, score_grid, validated_ids
 from .similarity import pairwise_score_table
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "retrieve",
     "retrieve_shortlist",
     "batch_retrieve",
+    "heuristic_baseline",
     "write_results_csv",
     "read_results_csv",
 ]
@@ -42,13 +44,17 @@ class RetrievalResult:
     ranked: list
 
 
+def _top(reference_ids, scores, k):
+    '''Positions of the best k scores (all when k is None): score
+    descending, then the smaller reference id.'''
+    order = np.lexsort((reference_ids, -scores))
+    return order if k is None else order[:k]
+
+
 def _rank_rows(reference_ids, fused_row, prob_row, answerable_row, k):
-    order = np.lexsort((reference_ids, -fused_row))
-    if k is not None:
-        order = order[:k]
     return [
         (int(reference_ids[j]), float(prob_row[j]), bool(~answerable_row[j]))
-        for j in order
+        for j in _top(reference_ids, fused_row, k)
     ]
 
 
@@ -97,8 +103,7 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
     if alpha < 1.0:
         raise ValueError("alpha must be at least 1")
     check_compatible(model, dataset)
-    if not 0 <= query_index < dataset.n_queries:
-        raise ValueError(f"query id out of range [0, {dataset.n_queries})")
+    validated_ids([query_index], dataset.n_queries, "query")
     budget = math.ceil(alpha * k)
     qmods = dataset.schema.query_modalities
     rmods = dataset.schema.reference_modalities
@@ -112,8 +117,7 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
             continue
         observable_any[cand] = True
         table = pairwise_score_table(dataset, (qmod, rmod), [query_index], cand)
-        top = np.lexsort((cand, -table.values[0]))[:budget]
-        union.update(cand[top].tolist())
+        union.update(cand[_top(cand, table.values[0], budget)].tolist())
     entries = []
     if union:
         refs = np.asarray(sorted(union), dtype=np.intp)
@@ -168,6 +172,60 @@ def batch_retrieve(model, dataset, query_ids=None, k=None, mode: str = "exact",
         return list(pool.map(job, ids))
 
 
+def heuristic_baseline(dataset, priority, query_ids=None, k=None) -> list:
+    '''Rank references by raw scores from the first usable modality pair.
+
+    For each (query, reference) combination the pairs in `priority` are
+    tried in order and the first one observable for that combination
+    supplies its raw cosine score; later pairs never overwrite it. The
+    scores land in one ranking even though each pair lives on its own
+    scale, which is exactly the comparison a calibrated pipeline is meant
+    to win. Combinations with no usable pair sink to the tail flagged
+    unanswerable with a score of -inf.
+
+    Args:
+        dataset: MultimodalDataset to score.
+        priority: Non-empty sequence of (query modality, reference
+            modality) pairs, each covered by a shared space.
+        query_ids: Queries to rank, in output order; all when None.
+        k: Entries per query; all references when None.
+
+    Returns:
+        List of RetrievalResult whose middle tuple element is the raw
+        score that produced the rank, not a calibrated probability.
+    '''
+    priority = [tuple(pair) for pair in priority]
+    if not priority:
+        raise ValueError("priority must name at least one modality pair")
+    if len(set(priority)) != len(priority):
+        raise ValueError("priority lists a modality pair twice")
+    for pair in priority:
+        if dataset.schema.space_for(*pair) is None:
+            raise ValueError(f"modality pair {pair} has no shared space")
+    if k is not None and k < 1:
+        raise ValueError("k must be at least 1")
+    if query_ids is None:
+        ids = np.arange(dataset.n_queries)
+    else:
+        ids = validated_ids(query_ids, dataset.n_queries, "query")
+    refs = np.arange(dataset.n_references)
+
+    scores = np.full((ids.size, refs.size), -np.inf)
+    filled = np.zeros(scores.shape, dtype=bool)
+    for pair in priority:
+        table = pairwise_score_table(dataset, pair, ids, refs)
+        take = table.observed & ~filled
+        scores[take] = table.values[take]
+        filled |= table.observed
+    # the raw score both orders the row and is reported in place of a
+    # probability
+    return [
+        RetrievalResult(int(qi), _rank_rows(refs, scores[row], scores[row],
+                                            filled[row], k))
+        for row, qi in enumerate(ids)
+    ]
+
+
 def write_results_csv(path, results):
     '''Write retrieval results with 1-based ranks and 17-digit floats.'''
     lines = [",".join(RESULTS_HEADER)]
@@ -183,7 +241,8 @@ def read_results_csv(path) -> list:
     '''Read a file written by write_results_csv.
 
     Rows for one query must be contiguous with ranks running 1, 2, ...;
-    anything else raises DataFormatError.
+    ids must be non-negative and probabilities not NaN (-inf is a baseline
+    score and stays). Anything else raises DataFormatError.
     '''
     results = []
     seen = set()
@@ -193,6 +252,12 @@ def read_results_csv(path) -> list:
         rank = parse_int(path, "rank", row[1])
         ref = parse_int(path, "reference_id", row[2])
         prob = parse_float(path, "probability", row[3])
+        if qid < 0 or ref < 0:
+            raise DataFormatError(
+                f"{path}: ids must be non-negative, got query_id {qid}, "
+                f"reference_id {ref}")
+        if math.isnan(prob):
+            raise DataFormatError(f"{path}: query {qid} rank {rank} has probability NaN")
         if row[4] not in ("0", "1"):
             raise DataFormatError(
                 f"{path}: unanswerable must be 0 or 1, got {row[4]!r}")

@@ -19,10 +19,8 @@ from .dataset import (
     SharedSpace,
     apply_modality_dropout,
 )
-from .retrieval import RetrievalResult
-from .similarity import pairwise_score_table
 
-__all__ = ["SynthSpace", "SynthConfig", "generate", "heuristic_baseline"]
+__all__ = ["SynthSpace", "SynthConfig", "generate"]
 
 
 @dataclass(frozen=True)
@@ -189,59 +187,3 @@ def generate(config: SynthConfig) -> MultimodalDataset:
         relevance=relevance,
     )
 
-
-def heuristic_baseline(dataset, priority, query_ids=None, k=None) -> list:
-    '''Rank references by raw scores from the first usable modality pair.
-
-    For each (query, reference) combination the pairs in `priority` are
-    tried in order and the first one observable for that combination
-    supplies its raw cosine score; later pairs never overwrite it. The
-    scores land in one ranking even though each pair lives on its own
-    scale, which is exactly the comparison a calibrated pipeline is meant
-    to win. Combinations with no usable pair sink to the tail flagged
-    unanswerable with a score of -inf.
-
-    Args:
-        dataset: MultimodalDataset to score.
-        priority: Non-empty sequence of (query modality, reference
-            modality) pairs, each covered by a shared space.
-        query_ids: Queries to rank, in output order; all when None.
-        k: Entries per query; all references when None.
-
-    Returns:
-        List of RetrievalResult whose middle tuple element is the raw
-        score that produced the rank, not a calibrated probability.
-    '''
-    priority = [tuple(pair) for pair in priority]
-    if not priority:
-        raise ValueError("priority must name at least one modality pair")
-    if len(set(priority)) != len(priority):
-        raise ValueError("priority lists a modality pair twice")
-    for pair in priority:
-        if dataset.schema.space_for(*pair) is None:
-            raise ValueError(f"modality pair {pair} has no shared space")
-    if k is not None and k < 1:
-        raise ValueError("k must be at least 1")
-    if query_ids is None:
-        query_ids = range(dataset.n_queries)
-    ids = np.asarray([int(q) for q in query_ids], dtype=np.intp)
-    refs = np.arange(dataset.n_references)
-
-    scores = np.full((ids.size, refs.size), -np.inf)
-    filled = np.zeros(scores.shape, dtype=bool)
-    for pair in priority:
-        table = pairwise_score_table(dataset, pair, ids, refs)
-        take = table.observed & ~filled
-        scores[take] = table.values[take]
-        filled |= table.observed
-
-    out = []
-    for row, qi in enumerate(ids):
-        order = np.lexsort((refs, -scores[row]))
-        if k is not None:
-            order = order[:k]
-        out.append(RetrievalResult(int(qi), [
-            (int(j), float(scores[row, j]), bool(~filled[row, j]))
-            for j in order
-        ]))
-    return out

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conformal_retrieval.conformal import conformal_probability
+from conformal_retrieval.conformal import conformal_probability, normalize_score
 from conformal_retrieval.dataset import (
     ModalitySchema,
     MultimodalDataset,
@@ -48,6 +48,37 @@ def oracle_cell(model, dataset, qi, ri):
 @pytest.fixture
 def cell_oracle():
     return oracle_cell
+
+
+def brute_force_probability(band, theta, grid_step: float = 1e-4):
+    '''Grid-sweep reference for conformal_probability.
+
+    Sweeps epsilon over a uniform grid and returns 1 minus the smallest
+    epsilon whose prediction set is exactly {1}; 0.0 if no grid point gets
+    there. Intentionally re-derives the thresholds instead of reusing
+    conformal_probability.
+    '''
+    if not 0.0 < grid_step <= 1.0:
+        raise ValueError("grid_step must lie in (0, 1]")
+    m = band.size
+    eps = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
+    ranks = np.ceil((m + 1) * (1.0 - eps))
+    alpha = np.full(eps.shape, np.inf)
+    inside = (ranks >= 1) & (ranks <= m)
+    alpha[inside] = band.sorted_gamma[ranks[inside].astype(int) - 1]
+    alpha[ranks < 1] = -np.inf  # empty set by convention
+    theta_tilde = normalize_score(band, theta)
+    has_zero = theta_tilde <= alpha
+    has_one = (1.0 - theta_tilde) <= alpha
+    exactly_one = has_one & ~has_zero
+    if not exactly_one.any():
+        return 0.0
+    return float(1.0 - eps[int(np.argmax(exactly_one))])
+
+
+@pytest.fixture
+def grid_sweep():
+    return brute_force_probability
 
 
 @pytest.fixture

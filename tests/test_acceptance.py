@@ -19,26 +19,21 @@ import conformal_retrieval.pipeline as pipeline_module
 from conformal_retrieval.cli import main
 from conformal_retrieval.conformal import (
     band_set,
-    brute_force_probability,
     conformal_probability,
     fit_band_arrays,
 )
 from conformal_retrieval.dataset import MultimodalDataset, RelevanceMap, split_queries
-from conformal_retrieval.metrics import ranking_metrics, score_correlation
+from conformal_retrieval.metrics import ranking_metrics
 from conformal_retrieval.pipeline import fit_model, score_grid
 from conformal_retrieval.retrieval import (
     RetrievalResult,
     batch_retrieve,
+    heuristic_baseline,
     retrieve,
     retrieve_shortlist,
     write_results_csv,
 )
-from conformal_retrieval.synthgen import (
-    SynthConfig,
-    SynthSpace,
-    generate,
-    heuristic_baseline,
-)
+from conformal_retrieval.synthgen import SynthConfig, SynthSpace, generate
 
 
 def check(num, description, condition, detail=""):
@@ -84,7 +79,7 @@ def test_01_coverage_guarantee():
           ok, "; ".join(details))
 
 
-def test_02_probability_matches_grid_sweep_oracle():
+def test_02_probability_matches_grid_sweep_oracle(grid_sweep):
     '''conformal_probability equals the brute-force infimum over epsilon.'''
     start = time.perf_counter()
     rng = np.random.default_rng(42)
@@ -102,7 +97,7 @@ def test_02_probability_matches_grid_sweep_oracle():
     worst = 0.0
     for t in probes:
         fast = conformal_probability(band, t)
-        slow = brute_force_probability(band, t, grid_step=1e-4)
+        slow = grid_sweep(band, t, grid_step=1e-4)
         worst = max(worst, abs(fast - slow))
     elapsed = time.perf_counter() - start
     ok = worst <= tol and elapsed < 5.0
@@ -370,11 +365,8 @@ def test_08_metric_oracle_and_closed_form_spearman():
         ok = ok and report.recall_at[k] == recall[k] / 5
         ok = ok and report.precision_at[k] == precision[k] / 5
         ok = ok and report.map_at[k] == ap[k] / 5
-
-    pearson, spearman = score_correlation([1, 2, 3, 4], [1, 3, 2, 4])
-    ok = ok and abs(spearman - 0.8) <= 1e-12 and abs(pearson - 0.8) <= 1e-12
-    check(8, "metrics match a brute-force oracle and the closed-form example",
-          ok, f"map@5 {report.map_at[5]:.6f}, spearman {spearman:.12f}")
+    check(8, "metrics match a brute-force oracle",
+          ok, f"map@5 {report.map_at[5]:.6f}")
 
 
 def _results_bytes(ds, monkeypatch, transform_pair=None):

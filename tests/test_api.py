@@ -1,9 +1,11 @@
 '''
 Guards on the package's module surface.
 
-Every exported name must exist, and modules reach each other only through
-public names, so a deletion that leaves a stale export or a new private
-cross-module import fails here rather than in a user's code.
+Every exported name must exist, modules reach each other only through
+public names, and each module imports only from the modules below it in
+LAYERS, so a deletion that leaves a stale export, a new private
+cross-module import or an upward import fails here rather than in a user's
+code.
 '''
 
 import ast
@@ -17,6 +19,11 @@ import conformal_retrieval
 
 PACKAGE_DIR = Path(conformal_retrieval.__file__).parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules([str(PACKAGE_DIR)]))
+
+# lowest first: the data layer, the math of the pipeline, the generator,
+# then the stages that build on them, and the command line last
+LAYERS = ("dataset", "conformal", "similarity", "synthgen", "pipeline",
+          "retrieval", "metrics", "cli")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -45,3 +52,31 @@ def test_no_private_cross_module_imports():
     found = {path.name: private_imports(path)
              for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def package_imports(path):
+    '''Names of the package modules that a module imports from.'''
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0:
+                found.update([node.module] if node.module
+                             else [alias.name for alias in node.names])
+            elif (node.module or "").startswith("conformal_retrieval."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("conformal_retrieval."))
+    return found
+
+
+def test_layers_name_every_module():
+    assert sorted(LAYERS) == MODULES
+
+
+def test_modules_import_only_lower_layers():
+    upward = {
+        name: sorted(package_imports(PACKAGE_DIR / f"{name}.py") - set(LAYERS[:i]))
+        for i, name in enumerate(LAYERS)
+    }
+    assert {name: hits for name, hits in upward.items() if hits} == {}

@@ -200,6 +200,35 @@ class TestEvaluate:
         assert main(["evaluate", "--data", str(data), "--results", str(bad),
                      "--ks", "5"]) == 2
 
+    @pytest.mark.parametrize("row", ["0,1,-1,0.5,0", "-1,1,0,0.5,0",
+                                     "0,1,0,nan,0"],
+                             ids=["negative-reference", "negative-query", "nan"])
+    def test_row_no_writer_emits_is_exit_2(self, pipeline_dirs, tmp_path, row):
+        data, _, _ = pipeline_dirs
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"query_id,rank,reference_id,probability,unanswerable\n{row}\n")
+        assert main(["evaluate", "--data", str(data), "--results", str(bad),
+                     "--ks", "1"]) == 2
+
+    def test_reference_past_the_dataset_is_exit_1(self, pipeline_dirs, tmp_path,
+                                                  capsys):
+        data, _, _ = pipeline_dirs  # 20 references
+        bad = tmp_path / "bad.csv"
+        bad.write_text("query_id,rank,reference_id,probability,unanswerable\n"
+                       "0,1,999,0.5,0\n")
+        assert main(["evaluate", "--data", str(data), "--results", str(bad),
+                     "--ks", "1"]) == 1
+        assert "outside [0, 20)" in capsys.readouterr().err
+
+    def test_baseline_scores_are_read_back(self, pipeline_dirs, tmp_path):
+        # raw baseline scores may be negative, and -inf marks unanswerable
+        data, _, _ = pipeline_dirs
+        raw = tmp_path / "raw.csv"
+        raw.write_text("query_id,rank,reference_id,probability,unanswerable\n"
+                       "0,1,3,-0.25,0\n0,2,7,-inf,1\n")
+        assert main(["evaluate", "--data", str(data), "--results", str(raw),
+                     "--ks", "1,2"]) == 0
+
 
 class TestInspect:
     def test_prints_band_summary(self, pipeline_dirs, capsys):

@@ -17,7 +17,6 @@ import pytest
 from conformal_retrieval.conformal import (
     PredictionBand,
     band_set,
-    brute_force_probability,
     conformal_probability,
     fit_band_arrays,
     normalize_score,
@@ -175,7 +174,7 @@ class TestConformalProbability:
 
 
 class TestBruteForceAgreement:
-    def test_matches_on_decisive_scores(self):
+    def test_matches_on_decisive_scores(self, grid_sweep):
         '''Closed form equals the grid sweep wherever {1} is reachable.'''
         rng = np.random.default_rng(42)
         theta = rng.uniform(0.0, 1.0, size=59)
@@ -190,12 +189,12 @@ class TestBruteForceAgreement:
         for t in rng.uniform(0.501, 1.0, size=40):
             raw = band.theta_min + t * (band.theta_max - band.theta_min)
             got = conformal_probability(band, raw)
-            want = brute_force_probability(band, raw, grid_step=grid)
+            want = grid_sweep(band, raw, grid_step=grid)
             assert abs(got - want) <= grid + 1.0 / (m + 1)
 
-    def test_low_scores_sweep_to_zero(self):
+    def test_low_scores_sweep_to_zero(self, grid_sweep):
         band = hand_band()
-        assert brute_force_probability(band, 0.2) == 0.0
+        assert grid_sweep(band, 0.2) == 0.0
 
 
 class TestCoverage:

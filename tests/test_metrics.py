@@ -19,7 +19,6 @@ from conformal_retrieval.dataset import RelevanceMap
 from conformal_retrieval.metrics import (
     MetricsReport,
     ranking_metrics,
-    score_correlation,
     write_report,
 )
 from conformal_retrieval.retrieval import RetrievalResult
@@ -148,32 +147,6 @@ class TestRankingMetrics:
         relevance = RelevanceMap(2, 5, (frozenset(), frozenset()))
         with pytest.raises(ValueError, match="query"):
             ranking_metrics([as_result(5, [0, 1, 2])], relevance, ks=(1,))
-
-
-class TestScoreCorrelation:
-    def test_frozen_pearson_and_spearman(self):
-        pearson, spearman = score_correlation([1, 2, 3, 4], [1, 3, 2, 4])
-        assert pearson == pytest.approx(0.8, abs=1e-12)
-        assert spearman == pytest.approx(0.8, abs=1e-12)
-
-    def test_spearman_with_ties(self):
-        # average ranks give 3 / sqrt(10)
-        _, spearman = score_correlation([1, 2, 3, 4], [1, 2, 2, 4])
-        assert spearman == pytest.approx(0.9486832980505138, abs=1e-12)
-
-    def test_monotone_transform_preserves_spearman(self):
-        rng = np.random.default_rng(42)
-        x = rng.normal(size=40)
-        y = x + 0.1 * rng.normal(size=40)
-        _, s1 = score_correlation(x, y)
-        _, s2 = score_correlation(np.exp(x), y)
-        assert s1 == pytest.approx(s2, abs=1e-12)
-
-    def test_rejects_degenerate_input(self):
-        with pytest.raises(ValueError):
-            score_correlation([1, 2], [3, 4])
-        with pytest.raises(ValueError):
-            score_correlation([1, 1, 1], [1, 2, 3])
 
 
 class TestWriteReport:

@@ -9,6 +9,7 @@ q0 -> [0.6, 0.0] and q1 -> [0.0, 0.8] over the two references.
 import numpy as np
 import pytest
 
+import conformal_retrieval.dataset as dataset_module
 from conformal_retrieval.dataset import DataFormatError, MultimodalDataset
 from conformal_retrieval.pipeline import fit_model
 from conformal_retrieval.retrieval import (
@@ -194,6 +195,21 @@ class TestBatchRetrieve:
                               shortlist_alpha=4.0, workers=2)
         exact = batch_retrieve(model, ds, k=5)
         assert fast == exact
+
+    @pytest.mark.parametrize("mode", ["exact", "shortlist"])
+    def test_schema_fingerprint_taken_once_per_schema(self, monkeypatch, mode):
+        ds = synth_dataset()
+        model = fit_model(ds, range(10))
+        original = dataset_module.schema_fingerprint
+        calls = []
+
+        def counting(schema):
+            calls.append(schema)
+            return original(schema)
+
+        monkeypatch.setattr(dataset_module, "schema_fingerprint", counting)
+        batch_retrieve(model, ds, query_ids=range(10, 15), k=5, mode=mode)
+        assert calls == []
 
     def test_unknown_mode_rejected(self, tiny_dataset):
         model = fit_model(tiny_dataset, [0, 1])

@@ -10,13 +10,9 @@ import numpy as np
 import pytest
 
 from conformal_retrieval.dataset import MultimodalDataset
+from conformal_retrieval.retrieval import heuristic_baseline
 from conformal_retrieval.similarity import cosine_table
-from conformal_retrieval.synthgen import (
-    SynthConfig,
-    SynthSpace,
-    generate,
-    heuristic_baseline,
-)
+from conformal_retrieval.synthgen import SynthConfig, SynthSpace, generate
 
 
 def bimodal_config(**overrides):
@@ -242,3 +238,9 @@ class TestHeuristicBaseline:
             heuristic_baseline(tiny_dataset, [("a", "a"), ("a", "a")])
         with pytest.raises(ValueError):
             heuristic_baseline(tiny_dataset, [("a", "a")], k=0)
+
+    @pytest.mark.parametrize("bad", [-1, 99])
+    def test_rejects_query_ids_out_of_range(self, tiny_dataset, bad):
+        # the rule and message score_grid applies to query ids
+        with pytest.raises(ValueError, match=r"query id out of range \[0, 3\)"):
+            heuristic_baseline(tiny_dataset, [("a", "a")], query_ids=[0, bad])
