@@ -16,10 +16,10 @@ from pathlib import Path
 
 from .dataset import (
     DataFormatError,
-    atomic_write_text,
     load_dataset,
     save_dataset,
     split_queries,
+    write_json,
 )
 from .metrics import ranking_metrics, write_report
 from .pipeline import ModelDataMismatchError, fit_model, load_model, save_model
@@ -193,9 +193,8 @@ def cmd_calibrate(args) -> int:
         len(calibration_ids), len(test_ids), args.fuser,
         args.negative_subsample or "none", len(model.first_stage), args.out)
     if args.split_out:
-        doc = {"calibration": [int(i) for i in calibration_ids],
-               "test": [int(i) for i in test_ids]}
-        atomic_write_text(args.split_out, json.dumps(doc, indent=2) + "\n")
+        write_json(args.split_out, {"calibration": [int(i) for i in calibration_ids],
+                                    "test": [int(i) for i in test_ids]})
     return 0
 
 

@@ -26,7 +26,9 @@ __all__ = [
     "MultimodalDataset",
     "schema_fingerprint",
     "atomic_write_bytes",
+    "write_json",
     "read_binary",
+    "unpack_header",
     "read_csv",
     "parse_int",
     "parse_float",
@@ -48,10 +50,8 @@ EMBEDDING_MAGIC = b"A2AE"
 MASK_MAGIC = b"A2AM"
 FORMAT_VERSION = 1
 
-# magic | u16 version | u8 dtype | u8 pad | u64 rows | u64 dims
-_EMB_HEADER = struct.Struct("<4sHBBQQ")
-# magic | u16 version | u16 pad | u64 rows | u64 modalities
-_MASK_HEADER = struct.Struct("<4sHHQQ")
+# magic | u16 version | u16 pad | u64 rows | u64 columns, for .emb and .msk
+_MATRIX_HEADER = struct.Struct("<4sHHQQ")
 
 
 class DataFormatError(ValueError):
@@ -75,6 +75,13 @@ def atomic_write_bytes(path, data: bytes):
 
 def atomic_write_text(path, text: str):
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_json(path, doc):
+    '''Write doc atomically as indented JSON with sorted keys, so equal
+    documents give equal bytes. Floats are written at their shortest
+    round-trip repr, which reads back exactly.'''
+    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -353,28 +360,12 @@ def write_embedding_file(path, matrix):
         raise ValueError("embedding matrix must be 2-D")
     if not np.isfinite(arr).all():
         raise ValueError("embedding matrix must be finite")
-    header = _EMB_HEADER.pack(EMBEDDING_MAGIC, FORMAT_VERSION, 0, 0,
-                              arr.shape[0], arr.shape[1])
-    payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    atomic_write_bytes(path, header + payload)
+    _write_matrix(path, EMBEDDING_MAGIC, arr.astype("<f4"))
 
 
 def read_embedding_file(path) -> np.ndarray:
     '''Read an embedding file back as float64. Rejects malformed files.'''
-    blob = read_binary(path, _EMB_HEADER.size)
-    magic, version, dtype, _pad, rows, dims = _EMB_HEADER.unpack_from(blob)
-    if magic != EMBEDDING_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {EMBEDDING_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    if dtype != 0:
-        raise DataFormatError(f"{path}: unsupported dtype code {dtype}")
-    expected = rows * dims * 4
-    payload = blob[_EMB_HEADER.size:]
-    if len(payload) != expected:
-        raise DataFormatError(
-            f"{path}: payload is {len(payload)} bytes, header promises {expected}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(rows, dims).astype(np.float64)
+    arr = _read_matrix(path, EMBEDDING_MAGIC, "<f4").astype(np.float64)
     if not np.isfinite(arr).all():
         raise DataFormatError(f"{path}: payload contains NaN or Inf")
     return arr
@@ -385,38 +376,54 @@ def write_mask_file(path, mask):
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise ValueError("mask must be 2-D")
-    header = _MASK_HEADER.pack(MASK_MAGIC, FORMAT_VERSION, 0,
-                               arr.shape[0], arr.shape[1])
-    atomic_write_bytes(path, header + arr.astype(np.uint8).tobytes())
+    _write_matrix(path, MASK_MAGIC, arr.astype(np.uint8))
 
 
 def read_mask_file(path) -> np.ndarray:
-    blob = read_binary(path, _MASK_HEADER.size)
-    magic, version, _pad, rows, mods = _MASK_HEADER.unpack_from(blob)
-    if magic != MASK_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MASK_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    payload = blob[_MASK_HEADER.size:]
-    if len(payload) != rows * mods:
-        raise DataFormatError(
-            f"{path}: payload is {len(payload)} bytes, header promises {rows * mods}")
-    arr = np.frombuffer(payload, dtype=np.uint8)
+    arr = _read_matrix(path, MASK_MAGIC, np.uint8)
     if arr.size and not np.isin(arr, (0, 1)).all():
         raise DataFormatError(f"{path}: mask bytes must be 0 or 1")
-    return arr.reshape(rows, mods).astype(bool)
+    return arr.astype(bool)
 
 
-def read_binary(path, min_size):
-    '''Read a whole binary file, refusing one shorter than its header.'''
+def _write_matrix(path, magic, arr):
+    header = _MATRIX_HEADER.pack(magic, FORMAT_VERSION, 0, *arr.shape)
+    atomic_write_bytes(path, header + arr.tobytes())
+
+
+def _read_matrix(path, magic, dtype) -> np.ndarray:
+    blob = read_binary(path)
+    rows, cols = unpack_header(blob, _MATRIX_HEADER, magic, FORMAT_VERSION, path)
+    expected = rows * cols * np.dtype(dtype).itemsize
+    if len(blob) - _MATRIX_HEADER.size != expected:
+        raise DataFormatError(
+            f"{path}: payload is {len(blob) - _MATRIX_HEADER.size} bytes, "
+            f"header promises {expected}")
+    return np.frombuffer(blob, dtype, offset=_MATRIX_HEADER.size).reshape(rows, cols)
+
+
+def read_binary(path) -> bytes:
+    '''Read a whole binary file; DataFormatError when it cannot be read.'''
     try:
         with open(path, "rb") as handle:
-            blob = handle.read()
+            return handle.read()
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read ({exc})") from exc
-    if len(blob) < min_size:
+
+
+def unpack_header(blob, header: struct.Struct, magic: bytes, version: int, path):
+    '''Check the magic | u16 version | u16 pad prefix that every binary
+    file starts with, and return the header fields after it.'''
+    if len(blob) < header.size:
         raise DataFormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    return blob
+    found, found_version, pad, *fields = header.unpack_from(blob)
+    if found != magic:
+        raise DataFormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
+    if found_version != version:
+        raise DataFormatError(f"{path}: unsupported version {found_version}")
+    if pad:
+        raise DataFormatError(f"{path}: nonzero header pad {pad}")
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +521,7 @@ def apply_modality_dropout(mask, probabilities, seed, keep_at_least_one=False):
     probs = np.asarray(probabilities, dtype=np.float64)
     if mask.ndim != 2 or probs.shape != (mask.shape[1],):
         raise ValueError("probabilities must give one value per modality column")
-    if np.any(probs < 0) or np.any(probs > 1):
+    if not np.all((0 <= probs) & (probs <= 1)):
         raise ValueError("dropout probabilities must lie in [0, 1]")
     if keep_at_least_one and np.any(probs >= 1.0):
         raise ValueError("keep_at_least_one cannot hold with a probability of 1")
@@ -553,6 +560,23 @@ def split_queries(n_queries: int, calibration_fraction: float, seed):
 # Manifest
 # ---------------------------------------------------------------------------
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", (int, float): "a number"}
+
+
+def _member(node, key, kind, where, default=None):
+    '''node[key], checked to have the JSON type kind. An absent key gives
+    default, or DataFormatError when there is none.'''
+    if key not in node:
+        if default is None:
+            raise DataFormatError(f"{where} is missing key {key!r}")
+        return default
+    value = node[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DataFormatError(f"{where} key {key!r} must be {_JSON_KINDS[kind]}")
+    return value
+
+
 def load_dataset(path) -> MultimodalDataset:
     '''Load a dataset from a manifest file (or a directory holding one).
 
@@ -569,96 +593,72 @@ def load_dataset(path) -> MultimodalDataset:
         raise DataFormatError(f"{path}: cannot read ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{path}: manifest must be a JSON object")
     base = os.path.dirname(path)
+    at_manifest = f"{path}: manifest"
 
-    def resolve(rel):
-        return os.path.join(base, rel)
+    def resolve(node, key, where):
+        return os.path.join(base, _member(node, key, str, where))
 
     version = manifest.get("version")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: manifest version {version!r}, expected 1")
-    try:
-        query_mods = tuple(manifest["query_modalities"])
-        reference_mods = tuple(manifest["reference_modalities"])
-        space_entries = manifest["spaces"]
-        relevance_entry = manifest["relevance"]
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: manifest is missing key {exc}") from exc
+    query_mods = tuple(_member(manifest, "query_modalities", list, at_manifest))
+    reference_mods = tuple(_member(manifest, "reference_modalities", list, at_manifest))
+    if not all(isinstance(mod, str) for mod in query_mods + reference_mods):
+        raise DataFormatError(f"{path}: modality names must be strings")
+    space_entries = _member(manifest, "spaces", list, at_manifest)
+    relevance_entry = _member(manifest, "relevance", dict, at_manifest)
 
     overrides = {}
-    for pair_text, space_name in manifest.get("pair_space", {}).items():
+    pair_space = _member(manifest, "pair_space", dict, at_manifest, {})
+    for pair_text in pair_space:
         if pair_text.count(":") != 1:
             raise DataFormatError(
                 f"{path}: pair_space key {pair_text!r} must look like 'qmod:rmod'")
         qmod, rmod = pair_text.split(":")
-        overrides[(qmod, rmod)] = space_name
+        overrides[(qmod, rmod)] = _member(pair_space, pair_text, str, at_manifest)
 
-    spaces = []
+    spaces, query_files, reference_files = [], {}, {}
     for entry in space_entries:
-        try:
-            spaces.append(SharedSpace(
-                name=entry["name"],
-                dim=int(entry["dim"]),
-                query_modalities=tuple(entry.get("query_embeddings", {})),
-                reference_modalities=tuple(entry.get("reference_embeddings", {})),
-            ))
-        except KeyError as exc:
-            raise DataFormatError(f"{path}: space entry is missing key {exc}") from exc
+        if not isinstance(entry, dict):
+            raise DataFormatError(f"{path}: space entries must be objects")
+        name = _member(entry, "name", str, f"{path}: space entry")
+        at_space = f"{path}: space {name!r}"
+        queries = _member(entry, "query_embeddings", dict, at_space, {})
+        references = _member(entry, "reference_embeddings", dict, at_space, {})
+        spaces.append(SharedSpace(name, _member(entry, "dim", int, at_space),
+                                  tuple(queries), tuple(references)))
+        for files, side in ((query_files, queries), (reference_files, references)):
+            files.update(((mod, name), resolve(side, mod, at_space)) for mod in side)
     schema = ModalitySchema(query_mods, reference_mods, tuple(spaces), overrides)
+    query_embeddings = {key: read_embedding_file(file)
+                        for key, file in query_files.items()}
+    reference_embeddings = {key: read_embedding_file(file)
+                            for key, file in reference_files.items()}
 
-    def read_side(side_key):
-        out = {}
-        for entry in space_entries:
-            for mod, rel in entry.get(side_key, {}).items():
-                arr = read_embedding_file(resolve(rel))
-                if arr.shape[1] != int(entry["dim"]):
-                    raise DataFormatError(
-                        f"{resolve(rel)}: dim {arr.shape[1]} disagrees with space "
-                        f"{entry['name']!r} dim {entry['dim']}")
-                out[(mod, entry["name"])] = arr
-        return out
+    def read_mask(key, embeddings, mods):
+        if manifest.get(key) is not None:
+            return read_mask_file(resolve(manifest, key, at_manifest))
+        # every space on a side has the side's row count; MultimodalDataset checks it
+        rows = next(iter(embeddings.values())).shape[0]
+        return np.ones((rows, len(mods)), dtype=bool)
 
-    query_embeddings = read_side("query_embeddings")
-    reference_embeddings = read_side("reference_embeddings")
+    query_mask = read_mask("query_mask", query_embeddings, query_mods)
+    reference_mask = read_mask("reference_mask", reference_embeddings, reference_mods)
 
-    def side_rows(embeddings, side):
-        rows = {arr.shape[0] for arr in embeddings.values()}
-        if len(rows) != 1:
-            raise DataFormatError(f"{path}: {side} embedding files disagree on row count")
-        return rows.pop()
-
-    n_queries = side_rows(query_embeddings, "query")
-    n_references = side_rows(reference_embeddings, "reference")
-
-    def read_mask(key, n, mods, side):
-        rel = manifest.get(key)
-        if rel is None:
-            return np.ones((n, len(mods)), dtype=bool)
-        mask = read_mask_file(resolve(rel))
-        if mask.shape != (n, len(mods)):
-            raise DataFormatError(
-                f"{resolve(rel)}: {side} mask shape {mask.shape}, "
-                f"expected {(n, len(mods))}")
-        return mask
-
-    query_mask = read_mask("query_mask", n_queries, query_mods, "query")
-    reference_mask = read_mask("reference_mask", n_references, reference_mods, "reference")
-
+    at_relevance = f"{path}: relevance"
     kind = relevance_entry.get("type")
     if kind == "pairs":
-        relevance = read_relevance_pairs(
-            resolve(relevance_entry["path"]), n_queries, n_references)
+        relevance = read_relevance_pairs(resolve(relevance_entry, "path", at_relevance),
+                                         len(query_mask), len(reference_mask))
     elif kind == "positions":
-        try:
-            q_xy = read_positions(resolve(relevance_entry["query_path"]))
-            r_xy = read_positions(resolve(relevance_entry["reference_path"]))
-            threshold = float(relevance_entry["threshold_meters"])
-        except KeyError as exc:
-            raise DataFormatError(
-                f"{path}: positions relevance is missing key {exc}") from exc
-        if len(q_xy) != n_queries or len(r_xy) != n_references:
-            raise DataFormatError(f"{path}: position row counts disagree with embeddings")
-        relevance = relevance_from_positions(q_xy, r_xy, threshold)
+        relevance = relevance_from_positions(
+            read_positions(resolve(relevance_entry, "query_path", at_relevance)),
+            read_positions(resolve(relevance_entry, "reference_path", at_relevance)),
+            float(_member(relevance_entry, "threshold_meters", (int, float),
+                          at_relevance)))
     else:
         raise DataFormatError(f"{path}: unknown relevance type {kind!r}")
 
@@ -712,5 +712,4 @@ def save_dataset(dataset: MultimodalDataset, out_dir):
         manifest["pair_space"] = {
             f"{q}:{r}": name for (q, r), name in sorted(schema.pair_overrides.items())
         }
-    atomic_write_text(os.path.join(out_dir, "manifest.json"),
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)

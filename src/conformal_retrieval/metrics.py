@@ -5,14 +5,16 @@ reference in the top k. Precision@k averages (#relevant in top k)/k, and
 mean average precision at k divides by min(#relevant, k) so a perfect
 prefix scores 1. A query with no relevant references contributes 0 to all
 three means.
+
+write_report stores a report through dataset.write_json: keys sorted, each
+float at its shortest repr that reads back to the same value.
 '''
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import atomic_write_text
+from .dataset import write_json
 
 __all__ = [
     "MetricsReport",
@@ -110,48 +112,13 @@ def ranking_metrics(results, relevance, ks) -> MetricsReport:
     )
 
 
-class _RawNumber(str):
-    '''A pre-rendered JSON number, emitted without quotes.'''
-
-
-def _render_float(x) -> _RawNumber:
-    return _RawNumber(format(float(x), ".17g"))
-
-
-def _emit(node, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(node, _RawNumber):
-        return str(node)
-    if isinstance(node, str):
-        return json.dumps(node)
-    if isinstance(node, bool):
-        return "true" if node else "false"
-    if isinstance(node, int):
-        return str(node)
-    if isinstance(node, dict):
-        if not node:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_emit(v, indent + 1)}"
-            for k, v in node.items())
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(node, (list, tuple)):
-        if all(isinstance(v, _RawNumber) for v in node):
-            return "[" + ", ".join(node) + "]"
-        inner = ",\n".join(f"{pad}  {_emit(v, indent + 1)}" for v in node)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(node).__name__}")
-
-
 def write_report(report: MetricsReport, path):
-    '''Write a MetricsReport as deterministic JSON (floats at 17 digits).'''
-    doc = {
-        "ks": [_RawNumber(str(int(k))) for k in report.ks],
-        "recall_at": {str(k): _render_float(report.recall_at[k]) for k in report.ks},
-        "precision_at": {str(k): _render_float(report.precision_at[k])
-                         for k in report.ks},
-        "map_at": {str(k): _render_float(report.map_at[k]) for k in report.ks},
+    '''Write a MetricsReport as deterministic JSON via write_json.'''
+    write_json(path, {
+        "ks": list(report.ks),
+        "recall_at": {str(k): float(report.recall_at[k]) for k in report.ks},
+        "precision_at": {str(k): float(report.precision_at[k]) for k in report.ks},
+        "map_at": {str(k): float(report.map_at[k]) for k in report.ks},
         "query_count": report.query_count,
         "answerable_query_count": report.answerable_query_count,
-    }
-    atomic_write_text(path, _emit(doc) + "\n")
+    })

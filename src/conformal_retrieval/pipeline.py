@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .conformal import PredictionBand, conformal_probability, fit_band_arrays
-from .dataset import DataFormatError, atomic_write_bytes, read_binary
+from .dataset import DataFormatError, atomic_write_bytes, read_binary, unpack_header
 from .similarity import pairwise_score_table
 
 __all__ = [
@@ -318,16 +318,13 @@ def load_model(path) -> CalibratedModel:
             length disagrees with the band sizes, band values that fail
             validation, or a JSON model from before the binary format.
     '''
-    blob = read_binary(path, _MODEL_HEADER.size)
+    blob = read_binary(path)
     if blob.startswith(b"{"):
         raise DataFormatError(
             f"{path}: JSON model from an older release; re-run calibrate "
             f"to write the binary format")
-    magic, version, _pad, meta_len = _MODEL_HEADER.unpack_from(blob)
-    if magic != MODEL_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-    if version != MODEL_FILE_VERSION:
-        raise DataFormatError(f"{path}: unsupported model version {version}")
+    (meta_len,) = unpack_header(blob, _MODEL_HEADER, MODEL_MAGIC,
+                                MODEL_FILE_VERSION, path)
     meta_end = _MODEL_HEADER.size + meta_len
     if meta_end > len(blob):
         raise DataFormatError(f"{path}: truncated metadata block")

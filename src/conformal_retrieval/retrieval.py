@@ -96,12 +96,12 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
         dataset: Dataset with the matching schema fingerprint.
         query_index: Query to rank references for.
         k: Number of results wanted.
-        alpha: Over-fetch factor, at least 1.
+        alpha: Over-fetch factor, finite and at least 1.
     '''
     if k < 1:
         raise ValueError("k must be at least 1")
-    if alpha < 1.0:
-        raise ValueError("alpha must be at least 1")
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and at least 1")
     check_compatible(model, dataset)
     validated_ids([query_index], dataset.n_queries, "query")
     budget = math.ceil(alpha * k)

@@ -66,8 +66,10 @@ def _validate(config: SynthConfig):
     if not 1 <= config.relevant_per_query <= config.n_references:
         raise ValueError("relevant_per_query must lie in [1, n_references]")
     for space in config.spaces:
-        if space.noise_sigma < 0:
-            raise ValueError(f"space {space.name!r}: noise_sigma must be >= 0")
+        if not 0 <= space.noise_sigma < math.inf:
+            raise ValueError(f"space {space.name!r}: noise_sigma must be finite and >= 0")
+        if not math.isfinite(space.score_offset):
+            raise ValueError(f"space {space.name!r}: score_offset must be finite")
     for side, dropout, mods in (
         ("query", config.query_dropout, config.query_modalities),
         ("reference", config.reference_dropout, config.reference_modalities),

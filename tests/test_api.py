@@ -5,7 +5,9 @@ Every exported name must exist, modules reach each other only through
 public names, and each module imports only from the modules below it in
 LAYERS, so a deletion that leaves a stale export, a new private
 cross-module import or an upward import fails here rather than in a user's
-code.
+code. Every binary header starts with the shared magic | u16 version |
+u16 pad prefix, and JSON is serialized in three places only, so a second
+header layout or JSON writer fails here too.
 '''
 
 import ast
@@ -80,3 +82,32 @@ def test_modules_import_only_lower_layers():
         for i, name in enumerate(LAYERS)
     }
     assert {name: hits for name, hits in upward.items() if hits} == {}
+
+
+def calls_to(path, module, names):
+    '''(enclosing top-level name, call) for each module.name(...) call.'''
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        found.extend(
+            (getattr(top, "name", None), node) for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr in names
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == module)
+    return found
+
+
+def test_every_binary_header_shares_the_prefix():
+    formats = [ast.literal_eval(call.args[0])
+               for path in sorted(PACKAGE_DIR.glob("*.py"))
+               for _, call in calls_to(path, "struct", {"Struct"})]
+    assert formats
+    assert [f for f in formats if not f.startswith("<4sHH")] == []
+
+
+def test_json_is_serialized_in_three_places():
+    writers = sorted(f"{path.stem}.{name}"
+                     for path in PACKAGE_DIR.glob("*.py")
+                     for name, _ in calls_to(path, "json", {"dump", "dumps"}))
+    assert writers == ["dataset.schema_fingerprint", "dataset.write_json",
+                       "pipeline.save_model"]

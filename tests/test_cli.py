@@ -72,6 +72,61 @@ class TestSynth:
         assert code == 1
 
 
+    @pytest.mark.parametrize("space, dropout", [
+        ("name=s,dim=4,sigma=nan", "a:0.1"),
+        ("name=s,dim=4,offset=nan", "a:0.1"),
+        ("name=s,dim=4,sigma=inf", "a:0.1"),
+        ("name=s,dim=4,sigma=0.1", "a:nan"),
+    ], ids=["sigma-nan", "offset-nan", "sigma-inf", "dropout-nan"])
+    def test_non_finite_recipe_is_exit_1(self, tmp_path, capsys, space, dropout):
+        out = tmp_path / "x"
+        code = main(["synth", "--out", str(out), "--queries", "10",
+                     "--references", "5", "--query-modalities", "a",
+                     "--reference-modalities", "a", "--space", space,
+                     "--query-dropout", dropout])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def set_in(node, keys, value):
+    '''Set node[keys[0]][keys[1]]... to value and return node.'''
+    root = node
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return root
+
+
+class TestManifest:
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda m: [m], id="top-level-list"),
+        pytest.param(lambda m: set_in(m, ["spaces"], {"s1": m["spaces"][0]}),
+                     id="spaces-object"),
+        pytest.param(lambda m: set_in(m, ["spaces", 0, "dim"], "x"), id="dim-string"),
+        pytest.param(lambda m: set_in(m, ["relevance"], "relevance.csv"),
+                     id="relevance-string"),
+        pytest.param(lambda m: set_in(m, ["relevance"], {"type": "pairs"}),
+                     id="relevance-without-path"),
+        pytest.param(lambda m: set_in(m, ["pair_space"], ["a:a", "s1"]),
+                     id="pair-space-list"),
+        pytest.param(lambda m: set_in(m, ["spaces", 0, "query_embeddings"], ["a"]),
+                     id="query-embeddings-list"),
+        pytest.param(lambda m: set_in(m, ["query_modalities"], [["a"]]),
+                     id="modality-not-a-string"),
+        pytest.param(lambda m: set_in(m, ["pair_space"], {"a:a": ["s1"]}),
+                     id="pair-space-value-not-a-string"),
+    ])
+    def test_malformed_manifest_is_exit_2(self, tmp_path, capsys, mutate):
+        data = tmp_path / "data"
+        assert run_synth(data) == 0
+        manifest = data / "manifest.json"
+        manifest.write_text(json.dumps(mutate(json.loads(manifest.read_text()))))
+        assert main(["calibrate", "--data", str(data),
+                     "--out", str(tmp_path / "m.bin")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestCalibrate:
     def test_writes_model_and_split(self, pipeline_dirs):
         data, model, split = pipeline_dirs
@@ -156,6 +211,15 @@ class TestRetrieve:
         assert main(["retrieve", "--data", str(data), "--model", str(model),
                      "--k", "3", "--queries", "5,5", "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_non_finite_shortlist_alpha_is_exit_1(self, pipeline_dirs, tmp_path,
+                                                  capsys, alpha):
+        data, model, _ = pipeline_dirs
+        assert main(["retrieve", "--data", str(data), "--model", str(model),
+                     "--k", "3", "--mode", "shortlist", "--shortlist-alpha", alpha,
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert "error: alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[4, 2", '{"test": "4,2"}', "[true, false]"],
                              ids=["not-json", "test-not-a-list", "booleans"])

@@ -16,7 +16,14 @@ import pytest
 
 import conformal_retrieval.pipeline as pipeline_module
 from conformal_retrieval.conformal import PredictionBand, conformal_probability
-from conformal_retrieval.dataset import DataFormatError, MultimodalDataset
+from conformal_retrieval.dataset import (
+    DataFormatError,
+    MultimodalDataset,
+    read_embedding_file,
+    read_mask_file,
+    write_embedding_file,
+    write_mask_file,
+)
 from conformal_retrieval.pipeline import (
     CalibratedModel,
     Fuser,
@@ -372,6 +379,39 @@ class TestModelSerialization:
             assert gamma.dtype == np.float64
             assert gamma.flags.c_contiguous
             assert gamma.flags.aligned
+
+
+def tiny_model():
+    band = PredictionBand(0.0, 1.0, np.array([0.25, 0.5]))
+    return CalibratedModel("f" * 64, Fuser.MEAN, {("a", "a"): band},
+                           {("a", "a"): "s"}, band)
+
+
+BINARY_FILES = {
+    "emb": (lambda path: write_embedding_file(path, np.ones((2, 3))),
+            read_embedding_file),
+    "msk": (lambda path: write_mask_file(path, np.ones((2, 3), dtype=bool)),
+            read_mask_file),
+    "model": (lambda path: save_model(tiny_model(), path), load_model),
+}
+
+
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(lambda blob: b"XXXX" + blob[4:], "bad magic", id="magic"),
+    pytest.param(lambda blob: blob[:4] + struct.pack("<H", 9) + blob[6:],
+                 "unsupported version 9", id="version"),
+    pytest.param(lambda blob: blob[:6] + struct.pack("<H", 1) + blob[8:],
+                 "nonzero header pad", id="pad"),
+    pytest.param(lambda blob: blob[:12], "truncated header", id="short"),
+])
+@pytest.mark.parametrize("kind", sorted(BINARY_FILES))
+def test_shared_header_checks(tmp_path, kind, mutate, message):
+    write, read = BINARY_FILES[kind]
+    path = tmp_path / f"file.{kind}"
+    write(path)
+    path.write_bytes(mutate(path.read_bytes()))
+    with pytest.raises(DataFormatError, match=message):
+        read(path)
 
 
 class TestRankEquivalence:
