@@ -9,14 +9,14 @@ files, 3 model/dataset schema mismatch.
 '''
 
 import argparse
-import json
 import logging
 import sys
-from pathlib import Path
 
 from .dataset import (
     DataFormatError,
     load_dataset,
+    parse_json,
+    read_binary,
     save_dataset,
     split_queries,
     write_json,
@@ -135,10 +135,7 @@ def _parse_pairs(text: str) -> list:
 
 def _read_queries_file(path) -> list:
     '''Accept a JSON list of ids, or a split file holding a "test" list.'''
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+    doc = parse_json(read_binary(path), path)
     if isinstance(doc, dict):
         doc = doc.get("test")
     if not isinstance(doc, list) or not all(type(v) is int for v in doc):

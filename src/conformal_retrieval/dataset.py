@@ -5,10 +5,14 @@ references), presence masks saying which modalities each instance actually
 has, and a relevance map. Embeddings are stored on disk as float32 and
 promoted to float64 in memory; missing modalities are represented only by
 the masks, never by zero vectors.
+
+read_binary is the only file reader and parse_json the only JSON parser, so
+an unreadable or malformed input is DataFormatError wherever it is read.
 '''
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -28,6 +32,8 @@ __all__ = [
     "atomic_write_bytes",
     "write_json",
     "read_binary",
+    "parse_json",
+    "member",
     "unpack_header",
     "read_csv",
     "parse_int",
@@ -109,9 +115,10 @@ class SharedSpace:
 class ModalitySchema:
     '''Modality lists for both sides plus the shared spaces covering them.
 
-    Every (query modality, reference modality) pair may be covered by at
-    most one space; when several spaces cover the same pair, an explicit
-    entry in pair_overrides must pick one.
+    Each (query modality, reference modality) pair is scored in the one
+    space covering it; when several spaces cover the same pair, an entry in
+    pair_overrides must pick one. An override must name a space covering
+    its pair.
     '''
 
     query_modalities: tuple
@@ -123,10 +130,8 @@ class ModalitySchema:
         object.__setattr__(self, "query_modalities", tuple(self.query_modalities))
         object.__setattr__(self, "reference_modalities", tuple(self.reference_modalities))
         object.__setattr__(self, "spaces", tuple(self.spaces))
-        object.__setattr__(
-            self, "pair_overrides",
-            {(q, r): name for (q, r), name in dict(self.pair_overrides).items()},
-        )
+        overrides = {(q, r): name for (q, r), name in dict(self.pair_overrides).items()}
+        object.__setattr__(self, "pair_overrides", overrides)
         if not self.query_modalities or not self.reference_modalities:
             raise DataFormatError("schema needs modalities on both sides")
         for side, mods in (("query", self.query_modalities),
@@ -136,7 +141,6 @@ class ModalitySchema:
         names = [s.name for s in self.spaces]
         if len(set(names)) != len(names):
             raise DataFormatError("duplicate space names")
-        by_name = {s.name: s for s in self.spaces}
         for space in self.spaces:
             for mod in space.query_modalities:
                 if mod not in self.query_modalities:
@@ -147,31 +151,26 @@ class ModalitySchema:
                     raise DataFormatError(
                         f"space {space.name!r} covers unknown reference modality {mod!r}")
         pair_space = {}
+        unused = dict(overrides)
         for qmod in self.query_modalities:
             for rmod in self.reference_modalities:
-                covering = [
-                    s for s in self.spaces
-                    if qmod in s.query_modalities and rmod in s.reference_modalities
-                ]
-                if not covering:
-                    continue
-                if len(covering) == 1:
-                    pair_space[(qmod, rmod)] = covering[0]
-                    continue
-                chosen = self.pair_overrides.get((qmod, rmod))
-                if chosen is None:
+                covering = {s.name: s for s in self.spaces
+                            if qmod in s.query_modalities and rmod in s.reference_modalities}
+                chosen = unused.pop((qmod, rmod), None)
+                if chosen is None and len(covering) > 1:
                     raise DataFormatError(
                         f"ambiguous pair coverage for ({qmod!r}, {rmod!r}): "
-                        f"spaces {[s.name for s in covering]}; add a pair_space override")
-                if chosen not in {s.name for s in covering}:
+                        f"spaces {list(covering)}; add a pair_space override")
+                if chosen is not None and chosen not in covering:
                     raise DataFormatError(
                         f"pair_space override for ({qmod!r}, {rmod!r}) names "
                         f"{chosen!r} which does not cover the pair")
-                pair_space[(qmod, rmod)] = by_name[chosen]
-        for (qmod, rmod), name in self.pair_overrides.items():
-            if (qmod, rmod) not in pair_space:
-                raise DataFormatError(
-                    f"pair_space override for uncovered pair ({qmod!r}, {rmod!r})")
+                if covering:
+                    name = next(iter(covering)) if chosen is None else chosen
+                    pair_space[(qmod, rmod)] = covering[name]
+        if unused:
+            raise DataFormatError(
+                f"pair_space override for unknown pair {next(iter(unused))}")
         if not pair_space:
             raise DataFormatError("schema has no scoreable modality pair")
         object.__setattr__(self, "_pair_space", pair_space)
@@ -399,7 +398,10 @@ def _read_matrix(path, magic, dtype) -> np.ndarray:
         raise DataFormatError(
             f"{path}: payload is {len(blob) - _MATRIX_HEADER.size} bytes, "
             f"header promises {expected}")
-    return np.frombuffer(blob, dtype, offset=_MATRIX_HEADER.size).reshape(rows, cols)
+    try:
+        return np.frombuffer(blob, dtype, offset=_MATRIX_HEADER.size).reshape(rows, cols)
+    except ValueError as exc:  # rows x 0 passes the length check at any rows
+        raise DataFormatError(f"{path}: cannot hold {rows} x {cols} ({exc})") from exc
 
 
 def read_binary(path) -> bytes:
@@ -409,6 +411,27 @@ def read_binary(path) -> bytes:
             return handle.read()
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read ({exc})") from exc
+
+
+def _decode(blob: bytes, where) -> str:
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{where}: not UTF-8 ({exc})") from exc
+
+
+def parse_json(blob: bytes, where):
+    '''The JSON document in blob; DataFormatError when blob is not UTF-8,
+    not JSON, nested too deep to parse, or holds NaN or Infinity, which no
+    writer emits.'''
+    def refuse(name):
+        raise ValueError(f"{name} is not allowed")
+
+    text = _decode(blob, where)
+    try:
+        return json.loads(text, parse_constant=refuse)
+    except (ValueError, RecursionError) as exc:
+        raise DataFormatError(f"{where}: invalid JSON ({exc})") from exc
 
 
 def unpack_header(blob, header: struct.Struct, magic: bytes, version: int, path):
@@ -472,23 +495,19 @@ def read_positions(path) -> np.ndarray:
 
 def read_csv(path, expected_header):
     '''Non-blank rows of a CSV file whose header must be expected_header.'''
+    reader = csv.reader(io.StringIO(_decode(read_binary(path), path), newline=""))
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != expected_header:
-                raise DataFormatError(
-                    f"{path}: header must be {','.join(expected_header)!r}, got {header}")
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(expected_header):
-                    raise DataFormatError(f"{path}: malformed row {row}")
-                rows.append(row)
-            return rows
-    except OSError as exc:
-        raise DataFormatError(f"{path}: cannot read ({exc})") from exc
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != expected_header:
+            raise DataFormatError(
+                f"{path}: header must be {','.join(expected_header)!r}, got {header}")
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    for row in rows:
+        if len(row) != len(expected_header):
+            raise DataFormatError(f"{path}: malformed row {row}")
+    return rows
 
 
 def parse_int(path, fieldname, text):
@@ -564,7 +583,7 @@ _JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
                int: "an integer", (int, float): "a number"}
 
 
-def _member(node, key, kind, where, default=None):
+def member(node, key, kind, where, default=None):
     '''node[key], checked to have the JSON type kind. An absent key gives
     default, or DataFormatError when there is none.'''
     if key not in node:
@@ -586,49 +605,43 @@ def load_dataset(path) -> MultimodalDataset:
     path = os.fspath(path)
     if os.path.isdir(path):
         path = os.path.join(path, "manifest.json")
-    try:
-        with open(path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except OSError as exc:
-        raise DataFormatError(f"{path}: cannot read ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    manifest = parse_json(read_binary(path), path)
     if not isinstance(manifest, dict):
         raise DataFormatError(f"{path}: manifest must be a JSON object")
     base = os.path.dirname(path)
     at_manifest = f"{path}: manifest"
 
     def resolve(node, key, where):
-        return os.path.join(base, _member(node, key, str, where))
+        return os.path.join(base, member(node, key, str, where))
 
     version = manifest.get("version")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: manifest version {version!r}, expected 1")
-    query_mods = tuple(_member(manifest, "query_modalities", list, at_manifest))
-    reference_mods = tuple(_member(manifest, "reference_modalities", list, at_manifest))
+    query_mods = tuple(member(manifest, "query_modalities", list, at_manifest))
+    reference_mods = tuple(member(manifest, "reference_modalities", list, at_manifest))
     if not all(isinstance(mod, str) for mod in query_mods + reference_mods):
         raise DataFormatError(f"{path}: modality names must be strings")
-    space_entries = _member(manifest, "spaces", list, at_manifest)
-    relevance_entry = _member(manifest, "relevance", dict, at_manifest)
+    space_entries = member(manifest, "spaces", list, at_manifest)
+    relevance_entry = member(manifest, "relevance", dict, at_manifest)
 
     overrides = {}
-    pair_space = _member(manifest, "pair_space", dict, at_manifest, {})
+    pair_space = member(manifest, "pair_space", dict, at_manifest, {})
     for pair_text in pair_space:
         if pair_text.count(":") != 1:
             raise DataFormatError(
                 f"{path}: pair_space key {pair_text!r} must look like 'qmod:rmod'")
         qmod, rmod = pair_text.split(":")
-        overrides[(qmod, rmod)] = _member(pair_space, pair_text, str, at_manifest)
+        overrides[(qmod, rmod)] = member(pair_space, pair_text, str, at_manifest)
 
     spaces, query_files, reference_files = [], {}, {}
     for entry in space_entries:
         if not isinstance(entry, dict):
             raise DataFormatError(f"{path}: space entries must be objects")
-        name = _member(entry, "name", str, f"{path}: space entry")
+        name = member(entry, "name", str, f"{path}: space entry")
         at_space = f"{path}: space {name!r}"
-        queries = _member(entry, "query_embeddings", dict, at_space, {})
-        references = _member(entry, "reference_embeddings", dict, at_space, {})
-        spaces.append(SharedSpace(name, _member(entry, "dim", int, at_space),
+        queries = member(entry, "query_embeddings", dict, at_space, {})
+        references = member(entry, "reference_embeddings", dict, at_space, {})
+        spaces.append(SharedSpace(name, member(entry, "dim", int, at_space),
                                   tuple(queries), tuple(references)))
         for files, side in ((query_files, queries), (reference_files, references)):
             files.update(((mod, name), resolve(side, mod, at_space)) for mod in side)
@@ -657,8 +670,8 @@ def load_dataset(path) -> MultimodalDataset:
         relevance = relevance_from_positions(
             read_positions(resolve(relevance_entry, "query_path", at_relevance)),
             read_positions(resolve(relevance_entry, "reference_path", at_relevance)),
-            float(_member(relevance_entry, "threshold_meters", (int, float),
-                          at_relevance)))
+            float(member(relevance_entry, "threshold_meters", (int, float),
+                         at_relevance)))
     else:
         raise DataFormatError(f"{path}: unknown relevance type {kind!r}")
 

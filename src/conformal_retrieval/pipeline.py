@@ -20,7 +20,8 @@ from enum import Enum
 import numpy as np
 
 from .conformal import PredictionBand, conformal_probability, fit_band_arrays
-from .dataset import DataFormatError, atomic_write_bytes, read_binary, unpack_header
+from .dataset import (DataFormatError, atomic_write_bytes, member, parse_json,
+                      read_binary, unpack_header)
 from .similarity import pairwise_score_table
 
 __all__ = [
@@ -92,12 +93,16 @@ def validated_ids(ids, n: int, what: str) -> np.ndarray:
 
 
 def check_compatible(model: CalibratedModel, dataset):
-    '''Raise ModelDataMismatchError unless the dataset has the model's schema.'''
+    '''Raise ModelDataMismatchError unless the dataset has the model's schema
+    and scores every pair of the model in the model's space.'''
     got = dataset.fingerprint()
     if model.schema_fingerprint != got:
         raise ModelDataMismatchError(
             f"model was fitted for schema {model.schema_fingerprint[:12]}..., "
             f"dataset has {got[:12]}...")
+    for pair, space in model.pair_spaces.items():
+        if getattr(dataset.schema.space_for(*pair), "name", None) != space:
+            raise ModelDataMismatchError(f"dataset does not score pair {pair} in {space!r}")
 
 
 def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
@@ -264,47 +269,36 @@ def save_model(model: CalibratedModel, path):
     atomic_write_bytes(path, b"".join((header, meta, padding, payload)))
 
 
-def _meta_size(node, path) -> int:
-    size = node.get("size") if isinstance(node, dict) else None
-    if type(size) is not int or size < 0:
-        raise DataFormatError(f"{path}: band entry needs a non-negative integer size")
-    return size
-
-
 def _read_meta(block: bytes, path):
-    '''Parse the metadata block into (fingerprint, fuser, [(pair, space,
-    size)] for the first stage, second-stage size).'''
-    try:
-        doc = json.loads(block.decode("utf-8"))
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: metadata is not valid JSON: {exc}") from exc
+    '''Parse the metadata block into (fingerprint, fuser, {pair: space} in
+    first-stage order, [size] per band with the second stage last).'''
+    where = f"{path}: metadata"
+    doc = parse_json(block, where)
     if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: metadata must be a JSON object")
-    fingerprint = doc.get("schema_fingerprint")
-    if not isinstance(fingerprint, str) or not fingerprint:
-        raise DataFormatError(f"{path}: missing schema_fingerprint")
-    try:
-        fuser = Fuser(doc.get("fuser"))
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: unknown fuser {doc.get('fuser')!r}") from exc
-    entries = doc.get("first_stage")
-    if not isinstance(entries, list) or not entries:
-        raise DataFormatError(f"{path}: first_stage must be a non-empty list")
-    first_stage = []
+        raise DataFormatError(f"{where} must be a JSON object")
+    fingerprint = member(doc, "schema_fingerprint", str, where)
+    if not fingerprint:
+        raise DataFormatError(f"{where} has an empty schema_fingerprint")
+    fuser = member(doc, "fuser", str, where)
+    if fuser not in {f.value for f in Fuser}:
+        raise DataFormatError(f"{where}: unknown fuser {fuser!r}")
+    entries = member(doc, "first_stage", list, where)
+    if not entries:
+        raise DataFormatError(f"{where} key 'first_stage' must not be empty")
+    pair_spaces, sizes = {}, []
     for entry in entries:
         if not isinstance(entry, dict):
-            raise DataFormatError(f"{path}: first_stage entries must be objects")
-        try:
-            pair = (entry["query_modality"], entry["reference_modality"])
-            space = entry["space"]
-        except KeyError as exc:
-            raise DataFormatError(f"{path}: band entry missing {exc}") from exc
-        if not all(isinstance(name, str) for name in (*pair, space)):
-            raise DataFormatError(f"{path}: modality and space names must be strings")
-        first_stage.append((pair, space, _meta_size(entry, path)))
-    if "second_stage" not in doc:
-        raise DataFormatError(f"{path}: missing second_stage")
-    return fingerprint, fuser, first_stage, _meta_size(doc["second_stage"], path)
+            raise DataFormatError(f"{where}: first_stage entries must be objects")
+        pair = (member(entry, "query_modality", str, where),
+                member(entry, "reference_modality", str, where))
+        if pair in pair_spaces:
+            raise DataFormatError(f"{where}: duplicate band for pair {pair}")
+        pair_spaces[pair] = member(entry, "space", str, where)
+        sizes.append(member(entry, "size", int, where))
+    sizes.append(member(member(doc, "second_stage", dict, where), "size", int, where))
+    if min(sizes) < 0:
+        raise DataFormatError(f"{where}: band sizes must be non-negative")
+    return fingerprint, Fuser(fuser), pair_spaces, sizes
 
 
 def load_model(path) -> CalibratedModel:
@@ -328,12 +322,11 @@ def load_model(path) -> CalibratedModel:
     meta_end = _MODEL_HEADER.size + meta_len
     if meta_end > len(blob):
         raise DataFormatError(f"{path}: truncated metadata block")
-    fingerprint, fuser, entries, second_size = _read_meta(
+    fingerprint, fuser, pair_spaces, sizes = _read_meta(
         blob[_MODEL_HEADER.size:meta_end], path)
     offset = meta_end + (-meta_end) % 8
     if blob[meta_end:offset].strip(b"\0"):
         raise DataFormatError(f"{path}: nonzero padding after the metadata block")
-    sizes = [size for _, _, size in entries] + [second_size]
     expected = 8 * sum(size + 2 for size in sizes)
     if len(blob) - offset != expected:
         raise DataFormatError(
@@ -350,12 +343,5 @@ def load_model(path) -> CalibratedModel:
         except ValueError as exc:
             raise DataFormatError(f"{path}: bad prediction band: {exc}") from exc
         start += size + 2
-    first_stage = {}
-    pair_spaces = {}
-    for (pair, space, _), band in zip(entries, bands):
-        if pair in first_stage:
-            raise DataFormatError(f"{path}: duplicate band for pair {pair}")
-        first_stage[pair] = band
-        pair_spaces[pair] = space
-    return CalibratedModel(fingerprint, fuser, first_stage, pair_spaces,
-                           bands[-1])
+    return CalibratedModel(fingerprint, fuser, dict(zip(pair_spaces, bands)),
+                           pair_spaces, bands[-1])

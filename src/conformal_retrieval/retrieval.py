@@ -240,12 +240,12 @@ def write_results_csv(path, results):
 def read_results_csv(path) -> list:
     '''Read a file written by write_results_csv.
 
-    Rows for one query must be contiguous with ranks running 1, 2, ...;
-    ids must be non-negative and probabilities not NaN (-inf is a baseline
-    score and stays). Anything else raises DataFormatError.
+    A query's rows must be contiguous, ranked 1, 2, ... and name each
+    reference once; ids must be non-negative and probabilities not NaN
+    (-inf is a baseline score and stays). Anything else is DataFormatError.
     '''
     results = []
-    seen = set()
+    listed = {}  # query id -> the reference ids of its rows so far
     current = None
     for row in read_csv(path, RESULTS_HEADER):
         qid = parse_int(path, "query_id", row[0])
@@ -262,14 +262,17 @@ def read_results_csv(path) -> list:
             raise DataFormatError(
                 f"{path}: unanswerable must be 0 or 1, got {row[4]!r}")
         if current is None or current.query_index != qid:
-            if qid in seen:
+            if qid in listed:
                 raise DataFormatError(f"{path}: rows for query {qid} are split")
-            seen.add(qid)
+            listed[qid] = set()
             current = RetrievalResult(qid, [])
             results.append(current)
         if rank != len(current.ranked) + 1:
             raise DataFormatError(
                 f"{path}: query {qid} has rank {rank} where "
                 f"{len(current.ranked) + 1} was expected")
+        if ref in listed[qid]:
+            raise DataFormatError(f"{path}: query {qid} lists reference {ref} twice")
+        listed[qid].add(ref)
         current.ranked.append((ref, prob, row[4] == "1"))
     return results

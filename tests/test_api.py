@@ -6,8 +6,9 @@ public names, and each module imports only from the modules below it in
 LAYERS, so a deletion that leaves a stale export, a new private
 cross-module import or an upward import fails here rather than in a user's
 code. Every binary header starts with the shared magic | u16 version |
-u16 pad prefix, and JSON is serialized in three places only, so a second
-header layout or JSON writer fails here too.
+u16 pad prefix, JSON is serialized in three places only, and files are
+opened and JSON parsed in one place each, so a second header layout, JSON
+writer or input reader fails here too.
 '''
 
 import ast
@@ -84,16 +85,25 @@ def test_modules_import_only_lower_layers():
     assert {name: hits for name, hits in upward.items() if hits} == {}
 
 
+def is_call(node, module, names):
+    '''Whether node is a module.name(...) call, or a bare name(...) call
+    when module is None.'''
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if module is None:
+        return isinstance(func, ast.Name) and func.id in names
+    return (isinstance(func, ast.Attribute) and func.attr in names
+            and isinstance(func.value, ast.Name) and func.value.id == module)
+
+
 def calls_to(path, module, names):
-    '''(enclosing top-level name, call) for each module.name(...) call.'''
+    '''(enclosing top-level name, call) for each module.name(...) call, or
+    each bare name(...) call when module is None.'''
     found = []
     for top in ast.parse(path.read_text(encoding="utf-8")).body:
-        found.extend(
-            (getattr(top, "name", None), node) for node in ast.walk(top)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute) and node.func.attr in names
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == module)
+        found.extend((getattr(top, "name", None), node) for node in ast.walk(top)
+                     if is_call(node, module, names))
     return found
 
 
@@ -111,3 +121,12 @@ def test_json_is_serialized_in_three_places():
                      for name, _ in calls_to(path, "json", {"dump", "dumps"}))
     assert writers == ["dataset.schema_fingerprint", "dataset.write_json",
                        "pipeline.save_model"]
+
+
+def test_inputs_are_read_in_one_place():
+    def callers(module, names):
+        return sorted(f"{path.stem}.{name}" for path in PACKAGE_DIR.glob("*.py")
+                      for name, _ in calls_to(path, module, names))
+
+    assert callers("json", {"load", "loads"}) == ["dataset.parse_json"]
+    assert callers(None, {"open"}) == ["dataset.read_binary"]

@@ -3,6 +3,7 @@ Command-line interface tests, run in-process through main(argv).
 '''
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -127,6 +128,110 @@ class TestManifest:
         assert "error:" in capsys.readouterr().err
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+LONG_FIELD = "1" * 200_000  # past the csv module's 131,072-character limit
+RESULTS_HEADER = "query_id,rank,reference_id,probability,unanswerable\n"
+
+
+def assert_one_error(capsys):
+    err = capsys.readouterr().err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+class TestMalformedInputs:
+    '''Every input a writer could not have produced exits 2 with one error
+    line, whichever file it is in.'''
+
+    def calibrate(self, data, tmp_path):
+        return main(["calibrate", "--data", str(data),
+                     "--out", str(tmp_path / "m.bin")])
+
+    @pytest.mark.parametrize("name, edit", [
+        ("manifest.json", lambda blob: blob.replace(b'"s1"', b'"s\xff"', 1)),
+        ("relevance.csv", lambda blob: blob + b"0,\xff\n"),
+        ("relevance.csv", lambda blob: blob + LONG_FIELD.encode() + b",1\n"),
+        ("manifest.json", lambda blob: DEEP_JSON.encode()),
+    ], ids=["manifest-not-utf8", "relevance-not-utf8", "relevance-long-field",
+            "manifest-deep-json"])
+    def test_dataset_file(self, tmp_path, capsys, name, edit):
+        data = tmp_path / "data"
+        assert run_synth(data) == 0
+        (data / name).write_bytes(edit((data / name).read_bytes()))
+        capsys.readouterr()
+        assert self.calibrate(data, tmp_path) == 2
+        assert_one_error(capsys)
+
+    @pytest.mark.parametrize("text", [
+        RESULTS_HEADER.encode() + b"0,1,\xff,0.5,0\n",
+        (RESULTS_HEADER + f"0,1,{LONG_FIELD},0.5,0\n").encode(),
+    ], ids=["not-utf8", "long-field"])
+    def test_results_file(self, pipeline_dirs, tmp_path, capsys, text):
+        data, _, _ = pipeline_dirs
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(text)
+        capsys.readouterr()
+        assert main(["evaluate", "--data", str(data), "--results", str(bad),
+                     "--ks", "1"]) == 2
+        assert_one_error(capsys)
+
+    def test_deep_queries_file(self, pipeline_dirs, tmp_path, capsys):
+        data, model, _ = pipeline_dirs
+        queries = tmp_path / "queries.json"
+        queries.write_text(DEEP_JSON)
+        capsys.readouterr()
+        assert main(["retrieve", "--data", str(data), "--model", str(model),
+                     "--queries-file", str(queries),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert_one_error(capsys)
+
+    def test_deep_model_metadata(self, pipeline_dirs, tmp_path, capsys):
+        _, model, _ = pipeline_dirs
+        meta = DEEP_JSON.encode()
+        model.write_bytes(struct.pack("<4sHHQ", b"A2AC", 2, 0, len(meta)) + meta)
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(model)]) == 2
+        assert_one_error(capsys)
+
+    def test_override_naming_no_covering_space(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--queries", "10",
+                     "--references", "8", "--query-modalities", "a",
+                     "--reference-modalities", "a",
+                     "--space", "name=s1,dim=4,sigma=0.2"]) == 0
+        manifest = data / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "pair_space": {"a:a": "nonexistent"}}))
+        capsys.readouterr()
+        assert self.calibrate(data, tmp_path) == 2
+        assert_one_error(capsys)
+
+    def test_nan_threshold(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_synth(data) == 0
+        for name, n in (("qpos.csv", 30), ("rpos.csv", 20)):
+            (data / name).write_text(
+                "id,x,y\n" + "".join(f"{i},{i},0\n" for i in range(n)))
+        manifest = data / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["relevance"] = {"type": "positions", "query_path": "qpos.csv",
+                            "reference_path": "rpos.csv",
+                            "threshold_meters": float("nan")}
+        manifest.write_text(json.dumps(doc))  # json.dumps writes NaN
+        capsys.readouterr()
+        assert self.calibrate(data, tmp_path) == 2
+        assert_one_error(capsys)
+
+    def test_empty_embedding_with_huge_row_count(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_synth(data) == 0
+        (data / "query_a_s1.emb").write_bytes(
+            struct.pack("<4sHHQQ", b"A2AE", 1, 0, 2**62, 0))
+        capsys.readouterr()
+        assert self.calibrate(data, tmp_path) == 2
+        assert_one_error(capsys)
+
+
 class TestCalibrate:
     def test_writes_model_and_split(self, pipeline_dirs):
         data, model, split = pipeline_dirs
@@ -205,6 +310,23 @@ class TestRetrieve:
                          "--k", "3", "--mode", mode,
                          "--out", str(tmp_path / "r.csv")]) == 3
 
+    @pytest.mark.parametrize("old, new", [
+        (b'"query_modality":"a"', b'"query_modality":"c"'),
+        (b'"query_modality":"a"', b'"query_modality":"b"'),
+        (b'"space":"s1"', b'"space":"s3"'),
+    ], ids=["unknown-modality", "uncovered-pair", "other-space"])
+    def test_model_band_the_dataset_does_not_score_is_exit_3(
+            self, pipeline_dirs, tmp_path, capsys, old, new):
+        # the fingerprint still matches; only a band's pair or space differs
+        data, model, _ = pipeline_dirs
+        model.write_bytes(model.read_bytes().replace(old, new, 1))
+        for mode in ("exact", "shortlist"):
+            capsys.readouterr()
+            assert main(["retrieve", "--data", str(data), "--model", str(model),
+                         "--k", "3", "--mode", mode,
+                         "--out", str(tmp_path / "r.csv")]) == 3
+            assert "dataset does not score pair" in capsys.readouterr().err
+
     def test_duplicate_query_ids_is_exit_1(self, pipeline_dirs, tmp_path):
         data, model, _ = pipeline_dirs
         out = tmp_path / "results.csv"
@@ -265,8 +387,9 @@ class TestEvaluate:
                      "--ks", "5"]) == 2
 
     @pytest.mark.parametrize("row", ["0,1,-1,0.5,0", "-1,1,0,0.5,0",
-                                     "0,1,0,nan,0"],
-                             ids=["negative-reference", "negative-query", "nan"])
+                                     "0,1,0,nan,0", "0,1,3,0.5,0\n0,2,3,0.25,0"],
+                             ids=["negative-reference", "negative-query", "nan",
+                                  "reference-twice"])
     def test_row_no_writer_emits_is_exit_2(self, pipeline_dirs, tmp_path, row):
         data, _, _ = pipeline_dirs
         bad = tmp_path / "bad.csv"
@@ -283,6 +406,22 @@ class TestEvaluate:
         assert main(["evaluate", "--data", str(data), "--results", str(bad),
                      "--ks", "1"]) == 1
         assert "outside [0, 20)" in capsys.readouterr().err
+
+    # a results file that agrees with the format but is too short for the
+    # cutoffs is a usage error: shortlist mode may emit fewer than k entries
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1,3,0.5,0\n", "has 1 entries, needs 2"),
+        ("", "need at least one retrieval result"),
+    ], ids=["short-list", "header-only"])
+    def test_results_too_short_for_cutoffs_is_exit_1(self, pipeline_dirs, tmp_path,
+                                                     capsys, rows, message):
+        data, _, _ = pipeline_dirs
+        short = tmp_path / "short.csv"
+        short.write_text(RESULTS_HEADER + rows)
+        capsys.readouterr()
+        assert main(["evaluate", "--data", str(data), "--results", str(short),
+                     "--ks", "1,2"]) == 1
+        assert message in capsys.readouterr().err
 
     def test_baseline_scores_are_read_back(self, pipeline_dirs, tmp_path):
         # raw baseline scores may be negative, and -inf marks unanswerable

@@ -21,6 +21,7 @@ from conformal_retrieval.dataset import (
     SharedSpace,
     apply_modality_dropout,
     load_dataset,
+    parse_json,
     read_embedding_file,
     read_mask_file,
     read_positions,
@@ -117,6 +118,11 @@ class TestEmbeddingFile:
     def test_write_rejects_nan(self, tmp_path):
         with pytest.raises(ValueError):
             write_embedding_file(tmp_path / "m.emb", np.array([[np.inf, 0.0]]))
+
+
+    def test_zero_columns_round_trip(self, tmp_path):
+        write_embedding_file(tmp_path / "e.emb", np.zeros((3, 0)))
+        assert read_embedding_file(tmp_path / "e.emb").shape == (3, 0)
 
 
 class TestMaskFile:
@@ -272,6 +278,24 @@ class TestSchema:
         )
         assert schema.space_for("a", "a").name == "s2"
 
+    @pytest.mark.parametrize("pair, name", [
+        (("a", "a"), "nonexistent"),
+        (("a", "a"), "s2"),
+        (("a", "b"), "s1"),
+        (("z", "a"), "s1"),
+    ], ids=["unknown-space", "space-not-covering", "uncovered-pair", "unknown-pair"])
+    def test_override_must_name_a_covering_space(self, pair, name):
+        base = tiny_schema()
+        with pytest.raises(DataFormatError, match="override"):
+            ModalitySchema(base.query_modalities, base.reference_modalities,
+                           base.spaces, pair_overrides={pair: name})
+
+    def test_override_may_name_the_only_covering_space(self):
+        base = tiny_schema()
+        schema = ModalitySchema(base.query_modalities, base.reference_modalities,
+                                base.spaces, pair_overrides={("a", "a"): "s1"})
+        assert schema.space_for("a", "a").name == "s1"
+
     def test_no_scoreable_pair_rejected(self):
         with pytest.raises(DataFormatError):
             ModalitySchema(("a",), ("b",), (SharedSpace("s1", 2, ("a",), ()),))
@@ -396,3 +420,21 @@ class TestManifestIO:
         (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DataFormatError):
             load_dataset(tmp_path / "data")
+
+
+class TestParseJson:
+    def test_parses_a_document(self):
+        assert parse_json(b'{"a": [1, 2.5, "x"]}', "f") == {"a": [1, 2.5, "x"]}
+
+    @pytest.mark.parametrize("blob, message", [
+        (b'["\xff"]', "f: not UTF-8"),
+        (b"[1,", "f: invalid JSON"),
+        (b"[" * 100_000 + b"]" * 100_000, "f: invalid JSON"),
+        (b"[NaN]", "NaN is not allowed"),
+        (b"[Infinity]", "Infinity is not allowed"),
+        (b"[-Infinity]", "-Infinity is not allowed"),
+    ], ids=["not-utf8", "truncated", "deep", "nan", "infinity", "minus-infinity"])
+    def test_malformed_documents_rejected(self, blob, message):
+        with pytest.raises(DataFormatError, match=message) as info:
+            parse_json(blob, "f")
+        assert str(info.value).count("f:") == 1

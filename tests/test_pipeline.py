@@ -9,6 +9,7 @@ queries {0, 1}: the ("a","a") band sees scores [1,0,0,1] with labels
 0.8 -> 4/5.
 '''
 
+import json
 import struct
 
 import numpy as np
@@ -412,6 +413,82 @@ def test_shared_header_checks(tmp_path, kind, mutate, message):
     path.write_bytes(mutate(path.read_bytes()))
     with pytest.raises(DataFormatError, match=message):
         read(path)
+
+
+def rewrite_metadata(path, edit):
+    '''Replace a saved model's metadata block by edit(block), fixing the
+    length field and the padding before the payload.'''
+    blob = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    end = 16 + length
+    payload = blob[end + (-end) % 8:]
+    meta = edit(blob[16:end])
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(meta)) + meta
+                     + bytes(-(16 + len(meta)) % 8) + payload)
+
+
+def edit_doc(change):
+    '''A metadata edit that lets change mutate the parsed document.'''
+    def edit(block):
+        doc = json.loads(block)
+        change(doc)
+        return json.dumps(doc).encode()
+    return edit
+
+
+def set_band(key, value, index=0):
+    return edit_doc(lambda doc: doc["first_stage"][index].update({key: value}))
+
+
+def drop_band_key(key):
+    return edit_doc(lambda doc: doc["first_stage"][0].pop(key))
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda block: b"[" + block + b"]", "must be a JSON object",
+                 id="not-an-object"),
+    pytest.param(edit_doc(lambda doc: doc.pop("schema_fingerprint")),
+                 "missing key 'schema_fingerprint'", id="no-fingerprint"),
+    pytest.param(edit_doc(lambda doc: doc.update(fuser="median")), "unknown fuser",
+                 id="unknown-fuser"),
+    pytest.param(edit_doc(lambda doc: doc.update(fuser=1)), "'fuser' must be a string",
+                 id="fuser-not-a-string"),
+    pytest.param(edit_doc(lambda doc: doc.update(first_stage=[])), "must not be empty",
+                 id="empty-first-stage"),
+    pytest.param(edit_doc(lambda doc: doc["first_stage"].append("a:a")),
+                 "entries must be objects", id="entry-not-an-object"),
+    pytest.param(drop_band_key("query_modality"), "missing key 'query_modality'",
+                 id="no-query-modality"),
+    pytest.param(set_band("reference_modality", 1), "must be a string",
+                 id="modality-not-a-string"),
+    pytest.param(drop_band_key("space"), "missing key 'space'", id="no-space"),
+    pytest.param(set_band("space", ["s1"]), "must be a string", id="space-not-a-string"),
+    pytest.param(set_band("size", -1), "non-negative", id="negative-size"),
+    pytest.param(set_band("size", True), "must be an integer", id="boolean-size"),
+    pytest.param(set_band("size", 2.0), "must be an integer", id="float-size"),
+    pytest.param(edit_doc(lambda doc: doc.pop("second_stage")),
+                 "missing key 'second_stage'", id="no-second-stage"),
+    pytest.param(edit_doc(lambda doc: doc["first_stage"].append(doc["first_stage"][0])),
+                 "duplicate band", id="duplicate-pair"),
+    pytest.param(lambda block: b"[" * 100_000 + b"]" * 100_000, "invalid JSON",
+                 id="deep-nesting"),
+    pytest.param(edit_doc(lambda doc: doc["second_stage"].update(size=float("nan"))),
+                 "NaN is not allowed", id="nan-constant"),
+])
+def test_malformed_metadata_rejected(tmp_path, edit, message):
+    path = saved_model(tmp_path)
+    rewrite_metadata(path, edit)
+    with pytest.raises(DataFormatError, match=message):
+        load_model(path)
+
+
+def test_metadata_rewrite_keeps_a_valid_model(tmp_path):
+    path = saved_model(tmp_path)
+    before = load_model(path)
+    rewrite_metadata(path, edit_doc(lambda doc: doc.update(fuser="max")))
+    after = load_model(path)
+    assert after.fuser is Fuser.MAX
+    assert after.pair_spaces == before.pair_spaces
 
 
 class TestRankEquivalence:

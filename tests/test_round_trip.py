@@ -1,0 +1,95 @@
+'''
+Whatever a writer emits, the matching reader gives back.
+
+Each case draws a random valid synthetic recipe (modalities, spaces,
+dropout, fuser) from its seed and sends every file kind through its writer
+and reader: the dataset directory, the model, the --split-out file read as
+--queries-file, and the results CSV.
+'''
+
+import struct
+
+import numpy as np
+import pytest
+
+from conformal_retrieval.cli import _read_queries_file, main
+from conformal_retrieval.dataset import load_dataset, save_dataset, split_queries
+from conformal_retrieval.pipeline import fit_model, load_model
+from conformal_retrieval.retrieval import (
+    batch_retrieve,
+    read_results_csv,
+    write_results_csv,
+)
+from conformal_retrieval.synthgen import SynthConfig, SynthSpace, generate
+
+
+def random_recipe(seed):
+    '''A valid recipe: each query modality lies in exactly one space, so no
+    pair is covered twice, and every space covers both sides.'''
+    rng = np.random.default_rng(seed)
+    query_mods = ("a", "b", "c")[:rng.integers(1, 4)]
+    reference_mods = ("a", "b", "c", "d")[:rng.integers(1, 5)]
+    owner = rng.integers(0, rng.integers(1, len(query_mods) + 1), len(query_mods))
+    spaces = []
+    for index in sorted(set(owner.tolist())):
+        covered = rng.random(len(reference_mods)) < 0.6
+        covered[rng.integers(len(reference_mods))] = True
+        spaces.append(SynthSpace(
+            f"s{index}", int(rng.integers(3, 9)),
+            noise_sigma=float(rng.uniform(0.1, 0.6)),
+            score_offset=float(rng.uniform(0.0, 0.5)),
+            query_modalities=tuple(m for m, o in zip(query_mods, owner) if o == index),
+            reference_modalities=tuple(np.array(reference_mods)[covered].tolist())))
+
+    def dropout(mods):
+        return {m: float(rng.uniform(0.0, 0.3)) for m in mods if rng.random() < 0.5}
+
+    config = SynthConfig(
+        n_queries=24, n_references=16,
+        query_modalities=query_mods, reference_modalities=reference_mods,
+        spaces=tuple(spaces), latent_dim=5,
+        relevant_per_query=int(rng.integers(1, 3)),
+        query_dropout=dropout(query_mods), reference_dropout=dropout(reference_mods),
+        keep_at_least_one_query=True, keep_at_least_one_reference=True, seed=seed)
+    return config, ("mean", "max")[rng.integers(2)]
+
+
+def band_bits(band):
+    return struct.pack("<2d", band.theta_min, band.theta_max) + band.sorted_gamma.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_writer_reads_back(tmp_path, seed):
+    config, fuser = random_recipe(seed)
+    dataset = generate(config)
+    data = tmp_path / "data"
+    save_dataset(dataset, data)
+    back = load_dataset(data)
+    assert back.fingerprint() == dataset.fingerprint()
+    for side in ("query_embeddings", "reference_embeddings"):
+        ours, theirs = getattr(dataset, side), getattr(back, side)
+        assert set(ours) == set(theirs)
+        for key, arr in ours.items():
+            np.testing.assert_array_equal(theirs[key], arr)
+    np.testing.assert_array_equal(back.query_mask, dataset.query_mask)
+    np.testing.assert_array_equal(back.reference_mask, dataset.reference_mask)
+    assert back.relevance == dataset.relevance
+
+    model, split = tmp_path / "model.bin", tmp_path / "split.json"
+    assert main(["calibrate", "--data", str(data), "--out", str(model),
+                 "--fuser", fuser, "--seed", str(seed),
+                 "--split-out", str(split)]) == 0
+    calibration, test = split_queries(config.n_queries, 0.5, seed)
+    assert _read_queries_file(split) == test.tolist()
+    fitted = fit_model(back, calibration, fuser=fuser)
+    loaded = load_model(model)
+    assert loaded.pair_spaces == fitted.pair_spaces
+    assert list(loaded.first_stage) == list(fitted.first_stage)
+    for pair, band in fitted.first_stage.items():
+        assert band_bits(loaded.first_stage[pair]) == band_bits(band)
+    assert band_bits(loaded.second_stage) == band_bits(fitted.second_stage)
+
+    results = batch_retrieve(loaded, back, query_ids=test, k=5,
+                             mode=("exact", "shortlist")[seed % 2])
+    write_results_csv(tmp_path / "results.csv", results)
+    assert read_results_csv(tmp_path / "results.csv") == results
