@@ -6,8 +6,9 @@ has, and a relevance map. Embeddings are stored on disk as float32 and
 promoted to float64 in memory; missing modalities are represented only by
 the masks, never by zero vectors.
 
-read_binary is the only file reader and parse_json the only JSON parser, so
-an unreadable or malformed input is DataFormatError wherever it is read.
+read_binary is the only file reader, parse_json the only JSON parser, and
+read_csv and write_csv the only CSV reader and writer, so an unreadable or
+malformed input is DataFormatError wherever it is read.
 '''
 
 import csv
@@ -15,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import struct
 import tempfile
@@ -35,9 +37,8 @@ __all__ = [
     "parse_json",
     "member",
     "unpack_header",
+    "write_csv",
     "read_csv",
-    "parse_int",
-    "parse_float",
     "write_embedding_file",
     "read_embedding_file",
     "write_mask_file",
@@ -364,10 +365,11 @@ def write_embedding_file(path, matrix):
 
 def read_embedding_file(path) -> np.ndarray:
     '''Read an embedding file back as float64. Rejects malformed files.'''
-    arr = _read_matrix(path, EMBEDDING_MAGIC, "<f4").astype(np.float64)
+    arr = _read_matrix(path, EMBEDDING_MAGIC, "<f4")
+    # checked before the cast, which warns on a signalling NaN
     if not np.isfinite(arr).all():
         raise DataFormatError(f"{path}: payload contains NaN or Inf")
-    return arr
+    return arr.astype(np.float64)
 
 
 def write_mask_file(path, mask):
@@ -453,19 +455,60 @@ def unpack_header(blob, header: struct.Struct, magic: bytes, version: int, path)
 # CSV files
 # ---------------------------------------------------------------------------
 
-def write_relevance_pairs(path, relevance: RelevanceMap):
-    lines = ["query_id,reference_id"]
-    for q, refs in enumerate(relevance.relevant):
-        for r in sorted(refs):
-            lines.append(f"{q},{r}")
+_PAIR_COLUMNS = (("query_id", int), ("reference_id", int))
+_POSITION_COLUMNS = (("id", int), ("x", float), ("y", float))
+
+# write_csv's text for a column of each kind; float() first, because
+# np.float64's repr is "np.float64(...)"
+_CSV_TEXT = {int: lambda cells: map(str, map(operator.index, cells)),
+             float: lambda cells: map(repr, map(float, cells)),
+             str: lambda cells: map(str, cells)}
+
+
+def write_csv(path, columns, rows):
+    '''Write rows atomically under a header of the column names. Ints are
+    written in decimal and floats at their shortest round-trip repr, the
+    text write_json gives them, so read_csv gives back equal values.'''
+    texts = [_CSV_TEXT[kind](cells) for (_, kind), cells in zip(columns, zip(*rows))]
+    lines = [",".join(name for name, _ in columns)]
+    lines.extend(map(",".join, zip(*texts)))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def read_csv(path, columns) -> list:
+    '''One tuple of typed values per non-blank row of a CSV file whose
+    header is the column names. A cell its column kind cannot convert is
+    DataFormatError naming the file and the field.'''
+    names = tuple(name for name, _ in columns)
+    reader = csv.reader(io.StringIO(_decode(read_binary(path), path), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != names:
+            raise DataFormatError(
+                f"{path}: header must be {','.join(names)!r}, got {header}")
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    for row in rows:
+        if len(row) != len(columns):
+            raise DataFormatError(f"{path}: malformed row {row}")
+    values = []
+    for (name, kind), texts in zip(columns, zip(*rows)):
+        try:
+            values.append(list(map(kind, texts)))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: field {name}: {exc}") from None
+    return list(zip(*values))
+
+
+def write_relevance_pairs(path, relevance: RelevanceMap):
+    write_csv(path, _PAIR_COLUMNS,
+              ((q, r) for q, refs in enumerate(relevance.relevant) for r in sorted(refs)))
 
 
 def read_relevance_pairs(path, n_queries: int, n_references: int) -> RelevanceMap:
     sets = [set() for _ in range(n_queries)]
-    for row in read_csv(path, ("query_id", "reference_id")):
-        q = parse_int(path, "query_id", row[0])
-        r = parse_int(path, "reference_id", row[1])
+    for q, r in read_csv(path, _PAIR_COLUMNS):
         if not 0 <= q < n_queries:
             raise DataFormatError(f"{path}: query_id {q} outside [0, {n_queries})")
         if not 0 <= r < n_references:
@@ -476,54 +519,13 @@ def read_relevance_pairs(path, n_queries: int, n_references: int) -> RelevanceMa
 
 def read_positions(path) -> np.ndarray:
     '''Read an id,x,y CSV; ids must cover 0..n-1. Returns xy ordered by id.'''
-    rows = read_csv(path, ("id", "x", "y"))
-    ids, xs, ys = [], [], []
-    for row in rows:
-        ids.append(parse_int(path, "id", row[0]))
-        xs.append(parse_float(path, "x", row[1]))
-        ys.append(parse_float(path, "y", row[2]))
-    n = len(ids)
-    if sorted(ids) != list(range(n)):
-        raise DataFormatError(f"{path}: ids must cover 0..{n - 1} exactly once")
-    xy = np.empty((n, 2), dtype=np.float64)
-    xy[ids, 0] = xs
-    xy[ids, 1] = ys
+    rows = read_csv(path, _POSITION_COLUMNS)
+    if sorted(i for i, _, _ in rows) != list(range(len(rows))):
+        raise DataFormatError(f"{path}: ids must cover 0..{len(rows) - 1} exactly once")
+    xy = np.array([(x, y) for _, x, y in sorted(rows)], dtype=np.float64).reshape(-1, 2)
     if not np.isfinite(xy).all():
         raise DataFormatError(f"{path}: coordinates must be finite")
     return xy
-
-
-def read_csv(path, expected_header):
-    '''Non-blank rows of a CSV file whose header must be expected_header.'''
-    reader = csv.reader(io.StringIO(_decode(read_binary(path), path), newline=""))
-    try:
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != expected_header:
-            raise DataFormatError(
-                f"{path}: header must be {','.join(expected_header)!r}, got {header}")
-        rows = [row for row in reader if row]
-    except csv.Error as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    for row in rows:
-        if len(row) != len(expected_header):
-            raise DataFormatError(f"{path}: malformed row {row}")
-    return rows
-
-
-def parse_int(path, fieldname, text):
-    '''int(text), or DataFormatError naming the file and field.'''
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: field {fieldname} has non-integer {text!r}") from exc
-
-
-def parse_float(path, fieldname, text):
-    '''float(text), or DataFormatError naming the file and field.'''
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: field {fieldname} has non-numeric {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------

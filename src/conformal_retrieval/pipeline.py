@@ -83,13 +83,19 @@ class CalibratedModel:
 
 
 def validated_ids(ids, n: int, what: str) -> np.ndarray:
-    '''A non-empty 1-d id array with every id in [0, n), or ValueError.'''
-    arr = np.asarray(ids, dtype=np.intp)
+    '''A non-empty 1-d integer id array with every id in [0, n), or
+    ValueError; None means every id. Floats and bools are refused rather
+    than truncated to an id.'''
+    if ids is None:
+        return np.arange(n)
+    arr = np.asarray(ids)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"need at least one {what} id")
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} ids must be integers, got dtype {arr.dtype}")
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError(f"{what} id out of range [0, {n})")
-    return arr
+    return arr.astype(np.intp, copy=False)
 
 
 def check_compatible(model: CalibratedModel, dataset):
@@ -211,15 +217,8 @@ def score_grid(model: CalibratedModel, dataset, query_ids=None,
         is -inf where a cell is unanswerable.
     '''
     check_compatible(model, dataset)
-    if query_ids is None:
-        query_ids = np.arange(dataset.n_queries)
-    else:
-        query_ids = validated_ids(query_ids, dataset.n_queries, "query")
-    if reference_ids is None:
-        reference_ids = np.arange(dataset.n_references)
-    else:
-        reference_ids = validated_ids(reference_ids, dataset.n_references,
-                                      "reference")
+    query_ids = validated_ids(query_ids, dataset.n_queries, "query")
+    reference_ids = validated_ids(reference_ids, dataset.n_references, "reference")
     scored = ((band, pairwise_score_table(dataset, pair, query_ids, reference_ids))
               for pair, band in model.first_stage.items())
     fused, answerable = _fuse_tables(scored, model.fuser,

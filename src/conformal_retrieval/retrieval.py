@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataFormatError, atomic_write_text, parse_float, parse_int, read_csv
+from .dataset import DataFormatError, read_csv, write_csv
 from .pipeline import check_compatible, score_grid, validated_ids
 from .similarity import pairwise_score_table
 
@@ -29,7 +29,9 @@ __all__ = [
     "read_results_csv",
 ]
 
-RESULTS_HEADER = ("query_id", "rank", "reference_id", "probability", "unanswerable")
+# the flag is text, so that only "0" and "1" pass where an int would take "01"
+_RESULTS_COLUMNS = (("query_id", int), ("rank", int), ("reference_id", int),
+                    ("probability", float), ("unanswerable", str))
 
 
 @dataclass
@@ -51,6 +53,15 @@ def _top(reference_ids, scores, k):
     return order if k is None else order[:k]
 
 
+def _check_k(k, required=False):
+    '''ValueError unless k is an integer of at least 1 that is not a bool,
+    or None where k is optional.'''
+    if k is None and not required:
+        return
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
+
+
 def _rank_rows(reference_ids, fused_row, prob_row, answerable_row, k):
     return [
         (int(reference_ids[j]), float(prob_row[j]), bool(~answerable_row[j]))
@@ -70,8 +81,7 @@ def retrieve(model, dataset, query_index: int, k=None) -> RetrievalResult:
     Returns:
         RetrievalResult with probabilities non-increasing down the list.
     '''
-    if k is not None and k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     probs, fused, answerable = score_grid(model, dataset, [query_index])
     refs = np.arange(dataset.n_references)
     return RetrievalResult(
@@ -98,8 +108,7 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
         k: Number of results wanted.
         alpha: Over-fetch factor, finite and at least 1.
     '''
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k, required=True)
     if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and at least 1")
     check_compatible(model, dataset)
@@ -153,19 +162,15 @@ def batch_retrieve(model, dataset, query_ids=None, k=None, mode: str = "exact",
         raise ValueError(f"unknown retrieval mode {mode!r}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if query_ids is None:
-        query_ids = range(dataset.n_queries)
+    _check_k(k, required=mode == "shortlist")
+    ids = validated_ids(query_ids, dataset.n_queries, "query").tolist()
     if mode == "shortlist":
-        if k is None:
-            raise ValueError("shortlist mode needs k")
-
         def job(qi):
             return retrieve_shortlist(model, dataset, qi, k, shortlist_alpha)
     else:
         def job(qi):
             return retrieve(model, dataset, qi, k)
 
-    ids = [int(qi) for qi in query_ids]
     if workers == 1:
         return [job(qi) for qi in ids]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -202,12 +207,8 @@ def heuristic_baseline(dataset, priority, query_ids=None, k=None) -> list:
     for pair in priority:
         if dataset.schema.space_for(*pair) is None:
             raise ValueError(f"modality pair {pair} has no shared space")
-    if k is not None and k < 1:
-        raise ValueError("k must be at least 1")
-    if query_ids is None:
-        ids = np.arange(dataset.n_queries)
-    else:
-        ids = validated_ids(query_ids, dataset.n_queries, "query")
+    _check_k(k)
+    ids = validated_ids(query_ids, dataset.n_queries, "query")
     refs = np.arange(dataset.n_references)
 
     scores = np.full((ids.size, refs.size), -np.inf)
@@ -226,53 +227,46 @@ def heuristic_baseline(dataset, priority, query_ids=None, k=None) -> list:
     ]
 
 
+def _results_from_rows(rows, where) -> list:
+    '''Group (query_id, rank, reference_id, probability, flag) rows into
+    results. Each query's rows must form one contiguous block ranked 1, 2,
+    ... that names each reference once, ids must be non-negative, no
+    probability NaN (-inf is a baseline score and stays) and the flag "0"
+    or "1"; anything else is DataFormatError.'''
+    results, listed = [], set()
+    for qid, rank, ref, prob, flag in rows:
+        if qid < 0 or ref < 0:
+            raise DataFormatError(f"{where}: query {qid} rank {rank} has a negative id")
+        if math.isnan(prob):
+            raise DataFormatError(f"{where}: query {qid} rank {rank} has probability NaN")
+        if flag not in ("0", "1"):
+            raise DataFormatError(f"{where}: unanswerable must be 0 or 1, got {flag!r}")
+        if qid not in listed:
+            listed.add(qid)
+            results.append(RetrievalResult(qid, []))
+            refs = set()
+        elif qid != results[-1].query_index:
+            raise DataFormatError(f"{where}: rows for query {qid} are split")
+        if rank != len(refs) + 1:
+            raise DataFormatError(f"{where}: query {qid} rank {rank} is out of sequence")
+        if ref in refs:
+            raise DataFormatError(f"{where}: query {qid} lists reference {ref} twice")
+        refs.add(ref)
+        results[-1].ranked.append((ref, prob, flag == "1"))
+    return results
+
+
 def write_results_csv(path, results):
-    '''Write retrieval results with 1-based ranks and 17-digit floats.'''
-    lines = [",".join(RESULTS_HEADER)]
-    for res in results:
-        for rank, (ref, prob, unanswerable) in enumerate(res.ranked, start=1):
-            lines.append(
-                f"{res.query_index},{rank},{ref},"
-                f"{format(float(prob), '.17g')},{int(unanswerable)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    '''Write retrieval results with 1-based ranks. A list that
+    read_results_csv would refuse is DataFormatError, and nothing is
+    written.'''
+    rows = [(res.query_index, rank, ref, prob, "1" if unanswerable else "0")
+            for res in results
+            for rank, (ref, prob, unanswerable) in enumerate(res.ranked, start=1)]
+    _results_from_rows(rows, path)
+    write_csv(path, _RESULTS_COLUMNS, rows)
 
 
 def read_results_csv(path) -> list:
-    '''Read a file written by write_results_csv.
-
-    A query's rows must be contiguous, ranked 1, 2, ... and name each
-    reference once; ids must be non-negative and probabilities not NaN
-    (-inf is a baseline score and stays). Anything else is DataFormatError.
-    '''
-    results = []
-    listed = {}  # query id -> the reference ids of its rows so far
-    current = None
-    for row in read_csv(path, RESULTS_HEADER):
-        qid = parse_int(path, "query_id", row[0])
-        rank = parse_int(path, "rank", row[1])
-        ref = parse_int(path, "reference_id", row[2])
-        prob = parse_float(path, "probability", row[3])
-        if qid < 0 or ref < 0:
-            raise DataFormatError(
-                f"{path}: ids must be non-negative, got query_id {qid}, "
-                f"reference_id {ref}")
-        if math.isnan(prob):
-            raise DataFormatError(f"{path}: query {qid} rank {rank} has probability NaN")
-        if row[4] not in ("0", "1"):
-            raise DataFormatError(
-                f"{path}: unanswerable must be 0 or 1, got {row[4]!r}")
-        if current is None or current.query_index != qid:
-            if qid in listed:
-                raise DataFormatError(f"{path}: rows for query {qid} are split")
-            listed[qid] = set()
-            current = RetrievalResult(qid, [])
-            results.append(current)
-        if rank != len(current.ranked) + 1:
-            raise DataFormatError(
-                f"{path}: query {qid} has rank {rank} where "
-                f"{len(current.ranked) + 1} was expected")
-        if ref in listed[qid]:
-            raise DataFormatError(f"{path}: query {qid} lists reference {ref} twice")
-        listed[qid].add(ref)
-        current.ranked.append((ref, prob, row[4] == "1"))
-    return results
+    '''Read a file written by write_results_csv.'''
+    return _results_from_rows(read_csv(path, _RESULTS_COLUMNS), path)

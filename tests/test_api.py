@@ -6,9 +6,10 @@ public names, and each module imports only from the modules below it in
 LAYERS, so a deletion that leaves a stale export, a new private
 cross-module import or an upward import fails here rather than in a user's
 code. Every binary header starts with the shared magic | u16 version |
-u16 pad prefix, JSON is serialized in three places only, and files are
-opened and JSON parsed in one place each, so a second header layout, JSON
-writer or input reader fails here too.
+u16 pad prefix, JSON is serialized in three places only, files are opened
+and JSON and CSV parsed in one place each, and text files are written by
+the JSON and CSV writers only, so a second header layout, JSON writer,
+input reader or hand-built text writer fails here too.
 '''
 
 import ast
@@ -107,6 +108,13 @@ def calls_to(path, module, names):
     return found
 
 
+def callers(module, names):
+    '''Sorted module.function names of the top-level functions that make
+    the calls calls_to finds.'''
+    return sorted(f"{path.stem}.{name}" for path in PACKAGE_DIR.glob("*.py")
+                  for name, _ in calls_to(path, module, names))
+
+
 def test_every_binary_header_shares_the_prefix():
     formats = [ast.literal_eval(call.args[0])
                for path in sorted(PACKAGE_DIR.glob("*.py"))
@@ -116,17 +124,16 @@ def test_every_binary_header_shares_the_prefix():
 
 
 def test_json_is_serialized_in_three_places():
-    writers = sorted(f"{path.stem}.{name}"
-                     for path in PACKAGE_DIR.glob("*.py")
-                     for name, _ in calls_to(path, "json", {"dump", "dumps"}))
-    assert writers == ["dataset.schema_fingerprint", "dataset.write_json",
-                       "pipeline.save_model"]
+    assert callers("json", {"dump", "dumps"}) == [
+        "dataset.schema_fingerprint", "dataset.write_json", "pipeline.save_model"]
 
 
 def test_inputs_are_read_in_one_place():
-    def callers(module, names):
-        return sorted(f"{path.stem}.{name}" for path in PACKAGE_DIR.glob("*.py")
-                      for name, _ in calls_to(path, module, names))
-
     assert callers("json", {"load", "loads"}) == ["dataset.parse_json"]
     assert callers(None, {"open"}) == ["dataset.read_binary"]
+
+
+def test_csv_is_read_and_text_written_in_one_place_each():
+    assert callers("csv", {"reader"}) == ["dataset.read_csv"]
+    assert callers(None, {"atomic_write_text"}) == ["dataset.write_csv",
+                                                   "dataset.write_json"]

@@ -4,6 +4,7 @@ Command-line interface tests, run in-process through main(argv).
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,19 @@ class TestMalformedInputs:
             struct.pack("<4sHHQQ", b"A2AE", 1, 0, 2**62, 0))
         capsys.readouterr()
         assert self.calibrate(data, tmp_path) == 2
+        assert_one_error(capsys)
+
+    def test_signalling_nan_embedding_warns_nothing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_synth(data) == 0
+        path = data / "query_a_s1.emb"
+        blob = bytearray(path.read_bytes())
+        blob[24:28] = struct.pack("<I", 0x7F800001)  # first payload float
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.calibrate(data, tmp_path) == 2
         assert_one_error(capsys)
 
 

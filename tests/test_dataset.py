@@ -8,6 +8,7 @@ exactly 32 bytes.
 '''
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -24,12 +25,14 @@ from conformal_retrieval.dataset import (
     parse_json,
     read_embedding_file,
     read_mask_file,
+    read_csv,
     read_positions,
     read_relevance_pairs,
     relevance_from_positions,
     save_dataset,
     schema_fingerprint,
     split_queries,
+    write_csv,
     write_embedding_file,
     write_mask_file,
     write_relevance_pairs,
@@ -180,6 +183,26 @@ class TestRelevanceFiles:
         path.write_text("id,x,y\n0,0,0\n2,1,1\n")
         with pytest.raises(DataFormatError):
             read_positions(path)
+
+
+class TestCsv:
+    COLUMNS = (("id", int), ("x", float), ("flag", str))
+
+    def test_numpy_scalars_write_plain_text_and_read_back(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, self.COLUMNS, [(np.int64(2), np.float64(1 / 3), "1"),
+                                       (0, -math.inf, "0"), (1, 5e-324, "x")])
+        assert path.read_text() == (
+            "id,x,flag\n2,0.3333333333333333,1\n0,-inf,0\n1,5e-324,x\n")
+        assert read_csv(path, self.COLUMNS) == [
+            (2, 1 / 3, "1"), (0, -math.inf, "0"), (1, 5e-324, "x")]
+
+    @pytest.mark.parametrize("row, field", [("0,x,1", "x"), ("y,0.5,1", "id")])
+    def test_unconvertible_cell_names_file_and_field(self, tmp_path, row, field):
+        path = tmp_path / "t.csv"
+        path.write_text(f"id,x,flag\n0,0.5,1\n{row}\n")
+        with pytest.raises(DataFormatError, match=f"t.csv: field {field}:"):
+            read_csv(path, self.COLUMNS)
 
 
 class TestRelevanceFromPositions:

@@ -11,10 +11,11 @@ import pytest
 
 import conformal_retrieval.dataset as dataset_module
 from conformal_retrieval.dataset import DataFormatError, MultimodalDataset
-from conformal_retrieval.pipeline import fit_model
+from conformal_retrieval.pipeline import fit_model, score_grid
 from conformal_retrieval.retrieval import (
     RetrievalResult,
     batch_retrieve,
+    heuristic_baseline,
     read_results_csv,
     retrieve,
     retrieve_shortlist,
@@ -217,6 +218,70 @@ class TestBatchRetrieve:
             batch_retrieve(model, tiny_dataset, mode="turbo")
 
 
+# each entry point that takes query ids, called with ids as given
+ID_CALLS = {
+    "score_grid": lambda model, ds, ids: score_grid(model, ds, ids),
+    "fit_model": lambda model, ds, ids: fit_model(ds, ids),
+    "retrieve": lambda model, ds, ids: retrieve(model, ds, ids[0]),
+    "batch_retrieve": lambda model, ds, ids: batch_retrieve(model, ds, ids),
+    "heuristic_baseline": lambda model, ds, ids: heuristic_baseline(
+        ds, [("a", "a")], ids),
+}
+
+# each entry point that takes k, called with k as given
+K_CALLS = {
+    "retrieve": lambda model, ds, k: retrieve(model, ds, 0, k=k),
+    "retrieve_shortlist": lambda model, ds, k: retrieve_shortlist(model, ds, 0, k),
+    "batch_retrieve": lambda model, ds, k: batch_retrieve(model, ds, [0], k=k),
+    "heuristic_baseline": lambda model, ds, k: heuristic_baseline(
+        ds, [("a", "a")], [0], k=k),
+}
+
+
+class TestIdsAndK:
+    '''Ids and k are counted things: a float or a bool is refused, never
+    truncated to an id or a count.'''
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        ds = synth_dataset()
+        return fit_model(ds, range(10)), ds
+
+    @pytest.mark.parametrize("ids", [[1.7], [0.5, 1.5], [True, False]],
+                             ids=["float", "floats", "bools"])
+    @pytest.mark.parametrize("call", sorted(ID_CALLS))
+    def test_non_integer_ids_refused(self, fitted, call, ids):
+        model, ds = fitted
+        with pytest.raises(ValueError, match="integers"):
+            ID_CALLS[call](model, ds, ids)
+
+    @pytest.mark.parametrize("call", sorted(ID_CALLS))
+    def test_numpy_integer_ids_accepted(self, fitted, call):
+        model, ds = fitted
+        want = ID_CALLS[call](model, ds, [11, 12])
+        for dtype in (np.int64, np.int32, np.uint16):
+            got = ID_CALLS[call](model, ds, np.array([11, 12], dtype=dtype))
+            if call == "score_grid":
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            elif call == "fit_model":
+                assert got.second_stage.sorted_gamma.tobytes() == \
+                    want.second_stage.sorted_gamma.tobytes()
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("k", [True, 2.5, 0, -1, "3"])
+    @pytest.mark.parametrize("call", sorted(K_CALLS))
+    def test_k_must_be_a_positive_integer(self, fitted, call, k):
+        model, ds = fitted
+        with pytest.raises(ValueError, match="k must be"):
+            K_CALLS[call](model, ds, k)
+
+    @pytest.mark.parametrize("call", sorted(K_CALLS))
+    def test_numpy_integer_k_accepted(self, fitted, call):
+        model, ds = fitted
+        assert K_CALLS[call](model, ds, np.int64(3)) == K_CALLS[call](model, ds, 3)
+
+
 class TestResultsCsv:
     def test_round_trip(self, tmp_path):
         ds = synth_dataset()
@@ -226,13 +291,16 @@ class TestResultsCsv:
         write_results_csv(path, results)
         assert read_results_csv(path) == results
 
-    def test_seventeen_digit_probabilities(self, tiny_dataset, tmp_path):
+    def test_probabilities_read_back_exactly(self, tiny_dataset, tmp_path):
         model = fit_model(tiny_dataset, [0, 1])
+        results = [retrieve(model, tiny_dataset, 0)]
         path = tmp_path / "results.csv"
-        write_results_csv(path, [retrieve(model, tiny_dataset, 0)])
+        write_results_csv(path, results)
         text = path.read_text()
         assert text.splitlines()[0] == "query_id,rank,reference_id,probability,unanswerable"
-        assert "0.59999999999999998" in text  # 3/5 at 17 significant digits
+        back = read_results_csv(path)
+        assert back == results
+        assert 3 / 5 in [prob for _, prob, _ in back[0].ranked]
 
     def test_unanswerable_flag_round_trips(self, tiny_dataset, tmp_path):
         results = [RetrievalResult(4, [(0, 0.25, False), (7, 0.0, True)])]

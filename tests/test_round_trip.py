@@ -4,18 +4,26 @@ Whatever a writer emits, the matching reader gives back.
 Each case draws a random valid synthetic recipe (modalities, spaces,
 dropout, fuser) from its seed and sends every file kind through its writer
 and reader: the dataset directory, the model, the --split-out file read as
---queries-file, and the results CSV.
+--queries-file, and the results CSV. The converse holds too: a results
+list that the reader would refuse, the writer refuses before writing.
 '''
 
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from conformal_retrieval.cli import _read_queries_file, main
-from conformal_retrieval.dataset import load_dataset, save_dataset, split_queries
+from conformal_retrieval.dataset import (
+    DataFormatError,
+    load_dataset,
+    save_dataset,
+    split_queries,
+)
 from conformal_retrieval.pipeline import fit_model, load_model
 from conformal_retrieval.retrieval import (
+    RetrievalResult,
     batch_retrieve,
     read_results_csv,
     write_results_csv,
@@ -91,5 +99,40 @@ def test_every_writer_reads_back(tmp_path, seed):
 
     results = batch_retrieve(loaded, back, query_ids=test, k=5,
                              mode=("exact", "shortlist")[seed % 2])
+    write_results_csv(tmp_path / "results.csv", results)
+    assert read_results_csv(tmp_path / "results.csv") == results
+
+
+@pytest.mark.parametrize("results", [
+    [RetrievalResult(3, [(0, 0.5, False)]), RetrievalResult(3, [(1, 0.25, False)])],
+    [RetrievalResult(3, [(0, 0.5, False)]), RetrievalResult(4, [(0, 0.5, False)]),
+     RetrievalResult(3, [(1, 0.25, False)])],
+    [RetrievalResult(3, [(0, 0.5, False), (0, 0.25, False)])],
+    [RetrievalResult(-1, [(0, 0.5, False)])],
+    [RetrievalResult(3, [(-2, 0.5, False)])],
+    [RetrievalResult(3, [(0, math.nan, False)])],
+], ids=["query-twice", "query-split", "reference-twice", "negative-query",
+        "negative-reference", "nan-probability"])
+def test_writer_refuses_what_the_reader_refuses(tmp_path, results):
+    path = tmp_path / "results.csv"
+    with pytest.raises(DataFormatError):
+        write_results_csv(path, results)
+    assert not path.exists()
+
+
+def test_batch_listing_a_query_twice_is_refused(tmp_path):
+    dataset = generate(random_recipe(0)[0])
+    model = fit_model(dataset, range(12))
+    with pytest.raises(DataFormatError):
+        write_results_csv(tmp_path / "results.csv",
+                          batch_retrieve(model, dataset, [13, 13], k=5))
+
+
+def test_floats_read_back_exactly(tmp_path):
+    results = [
+        RetrievalResult(0, [(2, 1 / 3, False), (0, 0.1, False), (1, 5e-324, False)]),
+        RetrievalResult(1, [(0, 0.75, False), (2, -math.inf, True),
+                            (1, -math.inf, True)]),
+    ]
     write_results_csv(tmp_path / "results.csv", results)
     assert read_results_csv(tmp_path / "results.csv") == results
