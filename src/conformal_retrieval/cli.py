@@ -45,28 +45,58 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Flag grammars
+# Flag grammar
 # ---------------------------------------------------------------------------
 
-def _parse_modalities(text: str) -> tuple:
-    mods = tuple(m for m in text.split(",") if m)
+def _entries(text: str) -> list:
+    '''The comma-separated entries of a flag value, empty ones skipped.'''
+    return [entry for entry in text.split(",") if entry]
+
+
+def _split(entry: str, sep: str) -> tuple:
+    '''(key, value) of one entry split once at sep; neither may be empty.'''
+    key, found, value = entry.partition(sep)
+    if not (found and key and value):
+        raise ValueError(f"{entry!r} is not KEY{sep}VALUE")
+    return key, value
+
+
+def _distinct(names: list) -> list:
+    twice = [name for i, name in enumerate(names) if name in names[:i]]
+    if twice:
+        raise ValueError(f"{twice[0]!r} is given twice")
+    return names
+
+
+def _grammar(parse):
+    '''Make parse the argparse type= of a flag: a bad value then goes
+    through _Parser.error, which names the flag and exits 1.'''
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+@_grammar
+def _modalities(text: str) -> tuple:
+    mods = _distinct(_entries(text))
     if not mods:
         raise ValueError(f"no modality names in {text!r}")
-    return mods
+    return tuple(mods)
 
 
-def _parse_space(text: str) -> SynthSpace:
+def _keyed(text: str, sep: str) -> dict:
+    pairs = [_split(entry, sep) for entry in _entries(text)]
+    _distinct([key for key, _ in pairs])
+    return dict(pairs)
+
+
+@_grammar
+def _space(text: str) -> SynthSpace:
     '''Parse "name=s1,dim=64,sigma=0.1,offset=0,query=a+b,reference=all".'''
-    fields = {}
-    for part in text.split(","):
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"space field {part!r} is not key=value")
-        if key in fields:
-            raise ValueError(f"space field {key!r} given twice")
-        fields[key] = value
+    fields = _keyed(text, "=")
     known = ("name", "dim", "sigma", "offset", "query", "reference")
     unknown = sorted(set(fields) - set(known))
     if unknown:
@@ -75,7 +105,7 @@ def _parse_space(text: str) -> SynthSpace:
         raise ValueError("a space spec needs at least name= and dim=")
 
     def side(value):
-        return None if value in (None, "all") else _parse_modalities(
+        return None if value in (None, "all") else _modalities(
             value.replace("+", ","))
 
     return SynthSpace(
@@ -88,49 +118,33 @@ def _parse_space(text: str) -> SynthSpace:
     )
 
 
-def _parse_dropout(text: str) -> dict:
+@_grammar
+def _dropout(text: str) -> dict:
     '''Parse "a:0.3,b:0.1" into a per-modality probability dict.'''
-    out = {}
-    for part in text.split(","):
-        if not part:
-            continue
-        mod, sep, prob = part.partition(":")
-        if not sep or not mod:
-            raise ValueError(f"dropout entry {part!r} is not modality:probability")
-        out[mod] = float(prob)
-    return out
+    return {mod: float(prob) for mod, prob in _keyed(text, ":").items()}
 
 
-def _parse_ints(text: str, what: str) -> list:
-    try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise ValueError(f"{what} must be comma-separated integers: {exc}") from exc
+@_grammar
+def _ints(text: str) -> list:
+    values = [int(entry) for entry in _entries(text)]
     if not values:
-        raise ValueError(f"no {what} given in {text!r}")
+        raise ValueError(f"no integers in {text!r}")
     return values
 
 
-def _parse_subsample(text: str) -> tuple:
-    ratio, sep, seed = text.partition(":")
-    if not sep:
-        raise ValueError(
-            f"negative subsample must look like RATIO:SEED, got {text!r}")
+@_grammar
+def _subsample(text: str) -> tuple:
+    '''Parse "RATIO:SEED"; an empty value means no subsampling.'''
+    if not text:
+        return None
+    ratio, seed = _split(text, ":")
     return float(ratio), int(seed)
 
 
-def _parse_pairs(text: str) -> list:
-    pairs = []
-    for part in text.split(","):
-        if not part:
-            continue
-        qmod, sep, rmod = part.partition(":")
-        if not sep or not qmod or not rmod:
-            raise ValueError(f"baseline entry {part!r} is not qmod:rmod")
-        pairs.append((qmod, rmod))
-    if not pairs:
-        raise ValueError(f"no modality pairs in {text!r}")
-    return pairs
+@_grammar
+def _pairs(text: str) -> list:
+    '''Parse "QMOD:RMOD,..." into modality pairs; none means no baseline.'''
+    return [_split(entry, ":") for entry in _entries(text)]
 
 
 def _read_queries_file(path) -> list:
@@ -150,19 +164,16 @@ def _read_queries_file(path) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    spaces = tuple(_parse_space(spec) for spec in args.space or ())
-    if not spaces:
-        raise ValueError("at least one --space is required")
     config = SynthConfig(
         n_queries=args.queries,
         n_references=args.references,
-        query_modalities=_parse_modalities(args.query_modalities),
-        reference_modalities=_parse_modalities(args.reference_modalities),
-        spaces=spaces,
+        query_modalities=args.query_modalities,
+        reference_modalities=args.reference_modalities,
+        spaces=tuple(args.space),
         latent_dim=args.latent_dim,
         relevant_per_query=args.relevant_per_query,
-        query_dropout=_parse_dropout(args.query_dropout),
-        reference_dropout=_parse_dropout(args.reference_dropout),
+        query_dropout=args.query_dropout,
+        reference_dropout=args.reference_dropout,
         keep_at_least_one_query=args.keep_at_least_one_query,
         keep_at_least_one_reference=args.keep_at_least_one_reference,
         seed=args.seed,
@@ -170,7 +181,7 @@ def cmd_synth(args) -> int:
     dataset = generate(config)
     save_dataset(dataset, args.out)
     logger.info("synth: wrote %d queries x %d references (%d spaces, seed %d) to %s",
-                dataset.n_queries, dataset.n_references, len(spaces), args.seed,
+                dataset.n_queries, dataset.n_references, len(args.space), args.seed,
                 args.out)
     return 0
 
@@ -179,10 +190,8 @@ def cmd_calibrate(args) -> int:
     dataset = load_dataset(args.data)
     calibration_ids, test_ids = split_queries(
         dataset.n_queries, args.cal_fraction, args.seed)
-    subsample = (_parse_subsample(args.negative_subsample)
-                 if args.negative_subsample else None)
     model = fit_model(dataset, calibration_ids, fuser=args.fuser,
-                      negative_subsample=subsample)
+                      negative_subsample=args.negative_subsample)
     save_model(model, args.out)
     logger.info(
         "calibrate: %d calibration / %d held-out queries, fuser %s, "
@@ -196,10 +205,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    query_ids = None
-    if args.queries is not None:
-        query_ids = _parse_ints(args.queries, "query ids")
-    elif args.queries_file is not None:
+    query_ids = args.queries
+    if args.queries_file is not None:
         query_ids = _read_queries_file(args.queries_file)
     if query_ids is not None and len(set(query_ids)) != len(query_ids):
         # the results file keeps one contiguous block of rows per query
@@ -227,17 +234,15 @@ def _print_report(report, prefix: str = ""):
 def cmd_evaluate(args) -> int:
     dataset = load_dataset(args.data)
     results = read_results_csv(args.results)
-    ks = _parse_ints(args.ks, "cutoffs")
-    report = ranking_metrics(results, dataset.relevance, ks)
+    report = ranking_metrics(results, dataset.relevance, args.ks)
     _print_report(report)
     if args.out:
         write_report(report, args.out)
         logger.info("evaluate: report -> %s", args.out)
     if args.baseline:
-        pairs = _parse_pairs(args.baseline)
         baseline = heuristic_baseline(
-            dataset, pairs, query_ids=[r.query_index for r in results])
-        _print_report(ranking_metrics(baseline, dataset.relevance, ks),
+            dataset, args.baseline, query_ids=[r.query_index for r in results])
+        _print_report(ranking_metrics(baseline, dataset.relevance, args.ks),
                       prefix="baseline ")
     return 0
 
@@ -270,15 +275,16 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--queries", type=int, default=200)
     p.add_argument("--references", type=int, default=100)
-    p.add_argument("--query-modalities", default="a,b", metavar="A,B")
-    p.add_argument("--reference-modalities", default="a,b", metavar="A,B")
-    p.add_argument("--space", action="append", metavar="SPEC",
+    p.add_argument("--query-modalities", type=_modalities, default="a,b", metavar="A,B")
+    p.add_argument("--reference-modalities", type=_modalities, default="a,b", metavar="A,B")
+    p.add_argument("--space", type=_space, action="append", required=True,
+                   metavar="SPEC",
                    help="name=s1,dim=64[,sigma=0.1][,offset=0][,query=a+b]"
                         "[,reference=all]; repeat per space")
     p.add_argument("--latent-dim", type=int, default=32)
     p.add_argument("--relevant-per-query", type=int, default=1)
-    p.add_argument("--query-dropout", default="", metavar="A:P,B:P")
-    p.add_argument("--reference-dropout", default="", metavar="A:P,B:P")
+    p.add_argument("--query-dropout", type=_dropout, default="", metavar="A:P,B:P")
+    p.add_argument("--reference-dropout", type=_dropout, default="", metavar="A:P,B:P")
     p.add_argument("--keep-at-least-one-query", action="store_true")
     p.add_argument("--keep-at-least-one-reference", action="store_true")
     p.add_argument("--seed", type=int, default=0)
@@ -290,7 +296,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cal-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0, help="split seed")
     p.add_argument("--fuser", choices=("mean", "max"), default="mean")
-    p.add_argument("--negative-subsample", metavar="RATIO:SEED")
+    p.add_argument("--negative-subsample", type=_subsample, metavar="RATIO:SEED")
     p.add_argument("--split-out", metavar="PATH",
                    help="also write the calibration/test query ids as JSON")
     p.set_defaults(func=cmd_calibrate)
@@ -304,7 +310,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("exact", "shortlist"), default="exact")
     p.add_argument("--shortlist-alpha", type=float, default=4.0)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--queries", metavar="I,J,K",
+    group.add_argument("--queries", type=_ints, metavar="I,J,K",
                        help="query ids to process (default: all)")
     group.add_argument("--queries-file", metavar="PATH",
                        help="JSON list of ids, or a --split-out file "
@@ -315,9 +321,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score a results file against relevance")
     p.add_argument("--data", required=True)
     p.add_argument("--results", required=True, help="results CSV from retrieve")
-    p.add_argument("--ks", default="1,5,10", metavar="K,K,K")
+    p.add_argument("--ks", type=_ints, default="1,5,10", metavar="K,K,K")
     p.add_argument("--out", help="also write the report as JSON")
-    p.add_argument("--baseline", metavar="QMOD:RMOD,...",
+    p.add_argument("--baseline", type=_pairs, metavar="QMOD:RMOD,...",
                    help="also report a raw-score baseline using these "
                         "modality pairs in priority order")
     p.set_defaults(func=cmd_evaluate)
@@ -339,18 +345,11 @@ def main(argv=None) -> int:
                         format="%(message)s")
     try:
         return args.func(args)
-    except ModelDataMismatchError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, ModelDataMismatchError):
+            return 3
+        return 2 if isinstance(exc, (DataFormatError, OSError)) else 1
 
 
 if __name__ == "__main__":

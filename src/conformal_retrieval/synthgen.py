@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import (
+    DataFormatError,
     ModalitySchema,
     MultimodalDataset,
     RelevanceMap,
@@ -120,7 +121,11 @@ def generate(config: SynthConfig) -> MultimodalDataset:
     the in-memory dataset matches what saving and re-loading would produce.
     '''
     _validate(config)
-    schema = _schema(config)
+    try:
+        schema = _schema(config)
+    except DataFormatError as exc:
+        # a recipe is a value, not a file: a schema fault in it is a usage error
+        raise ValueError(str(exc)) from None
     latent_seq, transform_seq, noise_seq, qmask_seq, rmask_seq = (
         np.random.SeedSequence(config.seed).spawn(5))
 

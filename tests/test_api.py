@@ -9,7 +9,9 @@ code. Every binary header starts with the shared magic | u16 version |
 u16 pad prefix, JSON is serialized in three places only, files are opened
 and JSON and CSV parsed in one place each, and text files are written by
 the JSON and CSV writers only, so a second header layout, JSON writer,
-input reader or hand-built text writer fails here too.
+input reader or hand-built text writer fails here too. Command-line flag
+values are split by the two grammar helpers only, so a flag parser with its
+own list syntax fails here as well.
 '''
 
 import ast
@@ -137,3 +139,14 @@ def test_csv_is_read_and_text_written_in_one_place_each():
     assert callers("csv", {"reader"}) == ["dataset.read_csv"]
     assert callers(None, {"atomic_write_text"}) == ["dataset.write_csv",
                                                    "dataset.write_json"]
+
+
+def test_flag_values_are_split_in_one_place():
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    splitters = {"split", "rsplit", "partition", "rpartition"}
+    found = sorted({getattr(top, "name", None) for top in tree.body
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in splitters})
+    assert found == ["_entries", "_split"]

@@ -90,6 +90,23 @@ class TestSynth:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--query-modalities", "a,a", "--space", "name=s,dim=4"],
+        ["--space", "name=s,dim=0"],
+        ["--space", "name=s,dim=4,query=z"],
+        ["--space", "name=s,dim=4", "--space", "name=s,dim=4"],
+        ["--space", "name=s,dim=4", "--space", "name=t,dim=4"],
+    ], ids=["modality-twice", "dim-0", "unknown-modality", "space-twice",
+            "pair-covered-twice"])
+    def test_schema_fault_in_recipe_is_exit_1(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        code = main(["synth", "--out", str(out), "--queries", "10",
+                     "--references", "5", "--query-modalities", "a",
+                     "--reference-modalities", "a", *flags])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def set_in(node, keys, value):
     '''Set node[keys[0]][keys[1]]... to value and return node.'''
@@ -490,6 +507,37 @@ class TestUsageErrors:
         assert main(["calibrate", "--data", str(data),
                      "--out", str(tmp_path / "m.json"),
                      "--negative-subsample", "lots"]) == 1
+
+    @pytest.mark.parametrize("command, flags", [
+        ("synth", ["--space", "name=s,dim=4", "--query-dropout", "a:0.1,a:0.9"]),
+        ("synth", ["--space", "name=s,dim=4", "--reference-dropout", "b:0.2,b:0.3"]),
+        ("synth", ["--space", "name=s,dim=4,query=a+a"]),
+        ("synth", ["--space", "name=s,dim=4", "--query-dropout", "a"]),
+        ("evaluate", ["--baseline", "a:"]),
+        ("calibrate", ["--negative-subsample", "0.5"]),
+    ], ids=["dropout-key-twice", "reference-dropout-key-twice",
+            "space-modality-twice", "dropout-without-probability",
+            "baseline-without-reference-modality", "subsample-without-seed"])
+    def test_bad_flag_value_is_exit_1(self, pipeline_dirs, tmp_path, capsys,
+                                      command, flags):
+        data, model, _ = pipeline_dirs
+        results = tmp_path / "r.csv"
+        assert main(["retrieve", "--data", str(data), "--model", str(model),
+                     "--k", "3", "--out", str(results)]) == 0
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--out", str(out), "--queries", "10",
+                      "--references", "5"],
+            "calibrate": ["calibrate", "--data", str(data), "--out", str(out)],
+            "evaluate": ["evaluate", "--data", str(data), "--results",
+                         str(results), "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_console_script_installed(self):
         import shutil

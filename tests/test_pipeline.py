@@ -153,6 +153,28 @@ class TestFitModel:
         fit_model(tiny_dataset, [0, 1])
         assert calls == [("a", "a"), ("b", "b")]
 
+    @pytest.mark.parametrize("fuser", list(Fuser))
+    def test_looks_up_observed_cells_only(self, monkeypatch, fuser):
+        # unobserved cells hold arbitrary scores, and a band lookup on them
+        # costs as much as one on an observed cell
+        ds = synth_dataset()
+        pairs = ds.schema.scoreable_pairs()
+        observed_cells = sum(
+            int(pairwise_score_table(ds, pair, range(12), range(ds.n_references))
+                .observed.sum())
+            for pair in pairs)
+        sizes = []
+        original = pipeline_module.conformal_probability
+
+        def counting(band, theta):
+            sizes.append(np.size(theta))
+            return original(band, theta)
+
+        monkeypatch.setattr(pipeline_module, "conformal_probability", counting)
+        model = fit_model(ds, list(range(12)), fuser=fuser)
+        assert len(model.first_stage) == len(sizes) == len(pairs)
+        assert sum(sizes) == observed_cells < len(pairs) * 12 * ds.n_references
+
     def test_unfittable_pair_is_omitted(self, tiny_dataset):
         # with only query 1 in calibration, modality "b" has no usable rows
         model = fit_model(tiny_dataset, [1])

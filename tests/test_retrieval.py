@@ -6,6 +6,8 @@ test_pipeline: with calibration queries {0, 1} the final probabilities are
 q0 -> [0.6, 0.0] and q1 -> [0.0, 0.8] over the two references.
 '''
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,22 @@ class TestBatchRetrieve:
         monkeypatch.setattr(dataset_module, "schema_fingerprint", counting)
         batch_retrieve(model, ds, query_ids=range(10, 15), k=5, mode=mode)
         assert calls == []
+
+    def test_zero_filled_absent_rows_log_nothing(self, caplog):
+        # a dataset may store zero rows for absent modalities; their cells
+        # are unobserved, so scoring them is not worth a warning
+        ds = synth_dataset()
+        for embeddings, mods, mask in (
+                (ds.query_embeddings, ds.schema.query_modalities, ds.query_mask),
+                (ds.reference_embeddings, ds.schema.reference_modalities,
+                 ds.reference_mask)):
+            for (mod, _), rows in embeddings.items():
+                rows[~mask[:, mods.index(mod)]] = 0.0
+        model = fit_model(ds, list(range(10)))
+        with caplog.at_level(logging.DEBUG):
+            for mode in ("exact", "shortlist"):
+                batch_retrieve(model, ds, list(range(10, 30)), k=5, mode=mode)
+        assert caplog.records == []
 
     def test_unknown_mode_rejected(self, tiny_dataset):
         model = fit_model(tiny_dataset, [0, 1])
