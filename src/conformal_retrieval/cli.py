@@ -252,7 +252,7 @@ def cmd_inspect(args) -> int:
     print(f"fuser {model.fuser.value}")
     print(f"schema fingerprint {model.schema_fingerprint}")
     for (qmod, rmod), band in model.first_stage.items():
-        print(f"band {qmod}->{rmod} space {model.pair_spaces[(qmod, rmod)]} "
+        print(f"band {qmod}->{rmod} "
               f"range [{band.theta_min:.6g}, {band.theta_max:.6g}] m {band.size}")
     second = model.second_stage
     print(f"second stage range [{second.theta_min:.6g}, "

@@ -19,6 +19,7 @@ import math
 import operator
 import os
 import struct
+import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -180,12 +181,7 @@ class ModalitySchema:
 
     def scoreable_pairs(self) -> tuple:
         '''Covered (query modality, reference modality) pairs in schema order.'''
-        return tuple(
-            (q, r)
-            for q in self.query_modalities
-            for r in self.reference_modalities
-            if (q, r) in self._pair_space
-        )
+        return tuple(self._pair_space)
 
     def space_for(self, query_modality: str, reference_modality: str):
         '''The space scoring a pair, or None when the pair is not covered.'''
@@ -206,8 +202,10 @@ def schema_fingerprint(schema: ModalitySchema) -> str:
             }
             for s in schema.spaces
         ],
+        # JSON triples: modality names may hold ':' or '=', so joined text
+        # could give two different overrides the same digest
         "pair_overrides": sorted(
-            f"{q}:{r}={name}" for (q, r), name in schema.pair_overrides.items()
+            [q, r, name] for (q, r), name in schema.pair_overrides.items()
         ),
     }
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -616,7 +614,7 @@ def load_dataset(path) -> MultimodalDataset:
     def resolve(node, key, where):
         return os.path.join(base, member(node, key, str, where))
 
-    version = manifest.get("version")
+    version = member(manifest, "version", int, at_manifest)
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: manifest version {version!r}, expected 1")
     query_mods = tuple(member(manifest, "query_modalities", list, at_manifest))
@@ -669,11 +667,14 @@ def load_dataset(path) -> MultimodalDataset:
         relevance = read_relevance_pairs(resolve(relevance_entry, "path", at_relevance),
                                          len(query_mask), len(reference_mask))
     elif kind == "positions":
+        threshold = member(relevance_entry, "threshold_meters", (int, float),
+                           at_relevance)
+        if not 0 <= threshold <= sys.float_info.max:  # also an int too big for float()
+            raise DataFormatError(f"{at_relevance}: threshold_meters must be finite and >= 0")
         relevance = relevance_from_positions(
             read_positions(resolve(relevance_entry, "query_path", at_relevance)),
             read_positions(resolve(relevance_entry, "reference_path", at_relevance)),
-            float(member(relevance_entry, "threshold_meters", (int, float),
-                         at_relevance)))
+            float(threshold))
     else:
         raise DataFormatError(f"{path}: unknown relevance type {kind!r}")
 

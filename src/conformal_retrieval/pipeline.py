@@ -64,22 +64,17 @@ class CalibratedModel:
         fuser: Fusion rule applied between the two stages.
         first_stage: Mapping (query modality, reference modality) ->
             PredictionBand. Pairs that were not fittable are absent.
-        pair_spaces: Mapping of the same keys to the shared-space name the
-            scores came from.
         second_stage: Band fitted on the fused values.
     '''
 
     schema_fingerprint: str
     fuser: Fuser
     first_stage: dict
-    pair_spaces: dict
     second_stage: PredictionBand
 
     def __post_init__(self):
         if not self.first_stage:
             raise ValueError("a model needs at least one first-stage band")
-        if set(self.first_stage) != set(self.pair_spaces):
-            raise ValueError("first_stage and pair_spaces must cover the same pairs")
 
 
 def validated_ids(ids, n: int, what: str) -> np.ndarray:
@@ -100,15 +95,16 @@ def validated_ids(ids, n: int, what: str) -> np.ndarray:
 
 def check_compatible(model: CalibratedModel, dataset):
     '''Raise ModelDataMismatchError unless the dataset has the model's schema
-    and scores every pair of the model in the model's space.'''
+    and scores every pair of the model. The fingerprint covers everything
+    the schema's choice of space for a pair depends on.'''
     got = dataset.fingerprint()
     if model.schema_fingerprint != got:
         raise ModelDataMismatchError(
             f"model was fitted for schema {model.schema_fingerprint[:12]}..., "
             f"dataset has {got[:12]}...")
-    for pair, space in model.pair_spaces.items():
-        if getattr(dataset.schema.space_for(*pair), "name", None) != space:
-            raise ModelDataMismatchError(f"dataset does not score pair {pair} in {space!r}")
+    for pair in model.first_stage:
+        if dataset.schema.space_for(*pair) is None:
+            raise ModelDataMismatchError(f"dataset does not score pair {pair}")
 
 
 def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
@@ -145,7 +141,6 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
 
     refs = np.arange(dataset.n_references)
     first_stage = {}
-    pair_spaces = {}
 
     def scored():
         # each pair is scored once: its table fits the band, then feeds fusion
@@ -156,7 +151,6 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
             if theta.size < 2 or theta.min() == theta.max():
                 continue
             first_stage[pair] = band = fit_band_arrays(theta, labels[use])
-            pair_spaces[pair] = dataset.schema.space_for(*pair).name
             yield band, table
 
     fused, answerable = _fuse_tables(scored(), fuser, labels.shape)
@@ -168,8 +162,7 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
     if np.count_nonzero(use) < 2:
         raise ValueError("second stage needs at least two fused calibration scores")
     second_stage = fit_band_arrays(fused[use], labels[use])
-    return CalibratedModel(dataset.fingerprint(), fuser, first_stage,
-                           pair_spaces, second_stage)
+    return CalibratedModel(dataset.fingerprint(), fuser, first_stage, second_stage)
 
 
 def _fuse_tables(scored, fuser, shape):
@@ -223,9 +216,8 @@ def score_grid(model: CalibratedModel, dataset, query_ids=None,
               for pair, band in model.first_stage.items())
     fused, answerable = _fuse_tables(scored, model.fuser,
                                      (len(query_ids), len(reference_ids)))
-    safe = np.where(answerable, fused, 0.0)
-    probs = np.where(answerable,
-                     conformal_probability(model.second_stage, safe), 0.0)
+    probs = np.zeros(answerable.shape)
+    probs[answerable] = conformal_probability(model.second_stage, fused[answerable])
     return probs, fused, answerable
 
 
@@ -238,17 +230,16 @@ def save_model(model: CalibratedModel, path):
 
     Layout: the fixed header (magic A2AC, u16 version, u16 pad, u64 length
     of the metadata block), then the compact JSON metadata (schema
-    fingerprint, fuser, and the pair, space and entry count of each
-    first-stage band plus the second stage's entry count), then zero bytes
-    up to the next multiple of 8, then one little-endian float64 payload
+    fingerprint, fuser, and the pair and entry count of each first-stage
+    band plus the second stage's entry count), then zero bytes up to the
+    next multiple of 8, then one little-endian float64 payload
     holding theta_min, theta_max and sorted_gamma for every first-stage band
     in metadata order and then the second stage. The payload stores the
     exact bits, so load_model restores the model bit for bit; byte output
     is deterministic.
     '''
     first_stage = [
-        {"query_modality": qmod, "reference_modality": rmod,
-         "space": model.pair_spaces[(qmod, rmod)], "size": band.size}
+        {"query_modality": qmod, "reference_modality": rmod, "size": band.size}
         for (qmod, rmod), band in model.first_stage.items()
     ]
     meta = json.dumps({
@@ -269,8 +260,9 @@ def save_model(model: CalibratedModel, path):
 
 
 def _read_meta(block: bytes, path):
-    '''Parse the metadata block into (fingerprint, fuser, {pair: space} in
-    first-stage order, [size] per band with the second stage last).'''
+    '''Parse the metadata block into (fingerprint, fuser, [pair] in
+    first-stage order, [size] per band with the second stage last). Keys
+    this reader does not use are ignored.'''
     where = f"{path}: metadata"
     doc = parse_json(block, where)
     if not isinstance(doc, dict):
@@ -284,20 +276,20 @@ def _read_meta(block: bytes, path):
     entries = member(doc, "first_stage", list, where)
     if not entries:
         raise DataFormatError(f"{where} key 'first_stage' must not be empty")
-    pair_spaces, sizes = {}, []
+    band_sizes = {}
     for entry in entries:
         if not isinstance(entry, dict):
             raise DataFormatError(f"{where}: first_stage entries must be objects")
         pair = (member(entry, "query_modality", str, where),
                 member(entry, "reference_modality", str, where))
-        if pair in pair_spaces:
+        if pair in band_sizes:
             raise DataFormatError(f"{where}: duplicate band for pair {pair}")
-        pair_spaces[pair] = member(entry, "space", str, where)
-        sizes.append(member(entry, "size", int, where))
-    sizes.append(member(member(doc, "second_stage", dict, where), "size", int, where))
+        band_sizes[pair] = member(entry, "size", int, where)
+    sizes = [*band_sizes.values(),
+             member(member(doc, "second_stage", dict, where), "size", int, where)]
     if min(sizes) < 0:
         raise DataFormatError(f"{where}: band sizes must be non-negative")
-    return fingerprint, Fuser(fuser), pair_spaces, sizes
+    return fingerprint, Fuser(fuser), list(band_sizes), sizes
 
 
 def load_model(path) -> CalibratedModel:
@@ -321,7 +313,7 @@ def load_model(path) -> CalibratedModel:
     meta_end = _MODEL_HEADER.size + meta_len
     if meta_end > len(blob):
         raise DataFormatError(f"{path}: truncated metadata block")
-    fingerprint, fuser, pair_spaces, sizes = _read_meta(
+    fingerprint, fuser, pairs, sizes = _read_meta(
         blob[_MODEL_HEADER.size:meta_end], path)
     offset = meta_end + (-meta_end) % 8
     if blob[meta_end:offset].strip(b"\0"):
@@ -342,5 +334,4 @@ def load_model(path) -> CalibratedModel:
         except ValueError as exc:
             raise DataFormatError(f"{path}: bad prediction band: {exc}") from exc
         start += size + 2
-    return CalibratedModel(fingerprint, fuser, dict(zip(pair_spaces, bands)),
-                           pair_spaces, bands[-1])
+    return CalibratedModel(fingerprint, fuser, dict(zip(pairs, bands)), bands[-1])

@@ -113,29 +113,27 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
         raise ValueError("alpha must be finite and at least 1")
     check_compatible(model, dataset)
     validated_ids([query_index], dataset.n_queries, "query")
-    budget = math.ceil(alpha * k)
+    # no pair has more candidates than references; min keeps a huge k off floats
+    budget = math.ceil(alpha * min(k, dataset.n_references))
     qmods = dataset.schema.query_modalities
     rmods = dataset.schema.reference_modalities
-    union = set()
-    observable_any = np.zeros(dataset.n_references, dtype=bool)
+    union = np.zeros(dataset.n_references, dtype=bool)
     for qmod, rmod in model.first_stage:
         if not dataset.query_mask[query_index, qmods.index(qmod)]:
             continue
         cand = np.flatnonzero(dataset.reference_mask[:, rmods.index(rmod)])
         if cand.size == 0:
             continue
-        observable_any[cand] = True
         table = pairwise_score_table(dataset, (qmod, rmod), [query_index], cand)
-        union.update(cand[_top(cand, table.values[0], budget)].tolist())
+        union[cand[_top(cand, table.values[0], budget)]] = True
     entries = []
-    if union:
-        refs = np.asarray(sorted(union), dtype=np.intp)
+    if union.any():
+        refs = np.flatnonzero(union)
         probs, fused, answerable = score_grid(model, dataset, [query_index], refs)
         entries = _rank_rows(refs, fused[0], probs[0], answerable[0], k)
-    if k > int(observable_any.sum()):
-        room = k - len(entries)
-        tail = np.flatnonzero(~observable_any)[:room]
-        entries.extend((int(r), 0.0, True) for r in tail)
+    # short of k only when fewer than k are answerable; the union then holds them all
+    tail = np.flatnonzero(~union)[:k - len(entries)]
+    entries.extend((int(r), 0.0, True) for r in tail)
     return RetrievalResult(int(query_index), entries)
 
 

@@ -135,6 +135,8 @@ class TestManifest:
                      id="modality-not-a-string"),
         pytest.param(lambda m: set_in(m, ["pair_space"], {"a:a": ["s1"]}),
                      id="pair-space-value-not-a-string"),
+        pytest.param(lambda m: set_in(m, ["version"], True), id="version-true"),
+        pytest.param(lambda m: set_in(m, ["version"], 1.0), id="version-float"),
     ])
     def test_malformed_manifest_is_exit_2(self, tmp_path, capsys, mutate):
         data = tmp_path / "data"
@@ -234,11 +236,14 @@ class TestMalformedInputs:
         doc = json.loads(manifest.read_text())
         doc["relevance"] = {"type": "positions", "query_path": "qpos.csv",
                             "reference_path": "rpos.csv",
-                            "threshold_meters": float("nan")}
-        manifest.write_text(json.dumps(doc))  # json.dumps writes NaN
-        capsys.readouterr()
-        assert self.calibrate(data, tmp_path) == 2
-        assert_one_error(capsys)
+                            "threshold_meters": "THRESHOLD"}
+        text = json.dumps(doc)
+        # json.loads reads 1e400 as inf; float() of a 401-digit int overflows
+        for threshold in ("NaN", "-5", "1e400", "1" + "0" * 400):
+            manifest.write_text(text.replace('"THRESHOLD"', threshold))
+            capsys.readouterr()
+            assert self.calibrate(data, tmp_path) == 2, threshold
+            assert_one_error(capsys)
 
     def test_empty_embedding_with_huge_row_count(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -344,11 +349,10 @@ class TestRetrieve:
     @pytest.mark.parametrize("old, new", [
         (b'"query_modality":"a"', b'"query_modality":"c"'),
         (b'"query_modality":"a"', b'"query_modality":"b"'),
-        (b'"space":"s1"', b'"space":"s3"'),
-    ], ids=["unknown-modality", "uncovered-pair", "other-space"])
+    ], ids=["unknown-modality", "uncovered-pair"])
     def test_model_band_the_dataset_does_not_score_is_exit_3(
             self, pipeline_dirs, tmp_path, capsys, old, new):
-        # the fingerprint still matches; only a band's pair or space differs
+        # the fingerprint still matches; only a band's pair differs
         data, model, _ = pipeline_dirs
         model.write_bytes(model.read_bytes().replace(old, new, 1))
         for mode in ("exact", "shortlist"):

@@ -336,6 +336,20 @@ class TestSchema:
         )
         assert a != schema_fingerprint(other)
 
+    def test_fingerprint_separates_override_maps(self):
+        # joined as "q:r=space" text, both override sets read the same
+        spaces = (SharedSpace("s1", 2, ("a:b", "a"), ("c", "b:c")),
+                  SharedSpace("s2", 2, ("a:b", "a"), ("c", "b:c")))
+
+        def schema(to_s2):
+            pairs = [(q, r) for q in ("a:b", "a") for r in ("c", "b:c")]
+            return ModalitySchema(("a:b", "a"), ("c", "b:c"), spaces, {
+                pair: "s2" if pair == to_s2 else "s1" for pair in pairs})
+
+        x, y = schema(("a:b", "c")), schema(("a", "b:c"))
+        assert x.space_for("a:b", "c").name != y.space_for("a:b", "c").name
+        assert schema_fingerprint(x) != schema_fingerprint(y)
+
 
 class TestDatasetValidation:
     def test_counts(self):

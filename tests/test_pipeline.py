@@ -234,7 +234,6 @@ class TestConformalMatrix:
             schema_fingerprint=model.schema_fingerprint,
             fuser=model.fuser,
             first_stage={("a", "a"): model.first_stage[("a", "a")]},
-            pair_spaces={("a", "a"): "s1"},
             second_stage=model.second_stage,
         )
         probs, fused, answerable = score_grid(trimmed, tiny_dataset)
@@ -335,7 +334,7 @@ class TestModelSerialization:
             np.testing.assert_array_equal(other.sorted_gamma, band.sorted_gamma)
         np.testing.assert_array_equal(
             back.second_stage.sorted_gamma, model.second_stage.sorted_gamma)
-        assert back.pair_spaces == model.pair_spaces
+        assert list(back.first_stage) == list(model.first_stage)
 
     def test_serialization_is_byte_deterministic(self, tmp_path):
         ds = synth_dataset()
@@ -346,8 +345,7 @@ class TestModelSerialization:
 
     def test_float_bits_stored_exactly(self, tmp_path):
         band = PredictionBand(0.0, 1.0, np.array([1.0 / 3.0, 0.5]))
-        model = CalibratedModel("f" * 64, Fuser.MEAN, {("a", "a"): band},
-                                {("a", "a"): "s"}, band)
+        model = CalibratedModel("f" * 64, Fuser.MEAN, {("a", "a"): band}, band)
         save_model(model, tmp_path / "m.bin")
         third = struct.pack("<d", 1.0 / 3.0)
         assert third in (tmp_path / "m.bin").read_bytes()
@@ -406,8 +404,7 @@ class TestModelSerialization:
 
 def tiny_model():
     band = PredictionBand(0.0, 1.0, np.array([0.25, 0.5]))
-    return CalibratedModel("f" * 64, Fuser.MEAN, {("a", "a"): band},
-                           {("a", "a"): "s"}, band)
+    return CalibratedModel("f" * 64, Fuser.MEAN, {("a", "a"): band}, band)
 
 
 BINARY_FILES = {
@@ -449,6 +446,10 @@ def rewrite_metadata(path, edit):
                      + bytes(-(16 + len(meta)) % 8) + payload)
 
 
+def band_bits(band):
+    return struct.pack("<2d", band.theta_min, band.theta_max) + band.sorted_gamma.tobytes()
+
+
 def edit_doc(change):
     '''A metadata edit that lets change mutate the parsed document.'''
     def edit(block):
@@ -483,8 +484,6 @@ def drop_band_key(key):
                  id="no-query-modality"),
     pytest.param(set_band("reference_modality", 1), "must be a string",
                  id="modality-not-a-string"),
-    pytest.param(drop_band_key("space"), "missing key 'space'", id="no-space"),
-    pytest.param(set_band("space", ["s1"]), "must be a string", id="space-not-a-string"),
     pytest.param(set_band("size", -1), "non-negative", id="negative-size"),
     pytest.param(set_band("size", True), "must be an integer", id="boolean-size"),
     pytest.param(set_band("size", 2.0), "must be an integer", id="float-size"),
@@ -510,7 +509,24 @@ def test_metadata_rewrite_keeps_a_valid_model(tmp_path):
     rewrite_metadata(path, edit_doc(lambda doc: doc.update(fuser="max")))
     after = load_model(path)
     assert after.fuser is Fuser.MAX
-    assert after.pair_spaces == before.pair_spaces
+    assert list(after.first_stage) == list(before.first_stage)
+
+
+def test_space_keys_from_older_writers_are_ignored(tmp_path):
+    # models written before the schema alone named each pair's space carry
+    # a "space" key per band; they load to the same bands, bit for bit
+    path = saved_model(tmp_path)
+    before = load_model(path)
+    schema = synth_dataset().schema
+    for index, pair in enumerate(before.first_stage):
+        rewrite_metadata(path, set_band("space", schema.space_for(*pair).name, index))
+    assert b'"space"' in path.read_bytes()
+    after = load_model(path)
+    assert after.schema_fingerprint == before.schema_fingerprint
+    assert list(after.first_stage) == list(before.first_stage)
+    for pair, band in before.first_stage.items():
+        assert band_bits(after.first_stage[pair]) == band_bits(band)
+    assert band_bits(after.second_stage) == band_bits(before.second_stage)
 
 
 class TestRankEquivalence:

@@ -103,10 +103,21 @@ class TestShortlist:
     def test_full_budget_matches_exact_retrieval(self):
         ds = synth_dataset()
         model = fit_model(ds, list(range(12)))
+        # k = n_references appends the unanswerable tail wherever there is one
+        for k in (5, ds.n_references):
+            for qi in range(12, 30):
+                exact = retrieve(model, ds, qi, k=k)
+                fast = retrieve_shortlist(model, ds, qi, k=k, alpha=4.0)
+                assert fast.ranked == exact.ranked
+
+    def test_k_past_the_float_range(self):
+        ds = synth_dataset()
+        model = fit_model(ds, list(range(12)))
+        # alpha * k would overflow a float; no pair has more candidates than
+        # there are references, so the list is the one retrieve gives
         for qi in range(12, 30):
-            exact = retrieve(model, ds, qi, k=5)
-            fast = retrieve_shortlist(model, ds, qi, k=5, alpha=4.0)
-            assert fast.ranked == exact.ranked
+            assert retrieve_shortlist(model, ds, qi, k=10**400).ranked == \
+                retrieve(model, ds, qi, k=10**400).ranked
 
     def test_candidate_list_is_a_prefix_of_exact_order(self):
         ds = synth_dataset(seed=3)

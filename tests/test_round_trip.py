@@ -91,7 +91,7 @@ def test_every_writer_reads_back(tmp_path, seed):
     assert _read_queries_file(split) == test.tolist()
     fitted = fit_model(back, calibration, fuser=fuser)
     loaded = load_model(model)
-    assert loaded.pair_spaces == fitted.pair_spaces
+    assert loaded.schema_fingerprint == fitted.schema_fingerprint
     assert list(loaded.first_stage) == list(fitted.first_stage)
     for pair, band in fitted.first_stage.items():
         assert band_bits(loaded.first_stage[pair]) == band_bits(band)
