@@ -133,12 +133,20 @@ def _ints(text: str) -> list:
 
 
 @_grammar
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"a seed must be >= 0, got {seed}")
+    return seed
+
+
+@_grammar
 def _subsample(text: str) -> tuple:
     '''Parse "RATIO:SEED"; an empty value means no subsampling.'''
     if not text:
         return None
     ratio, seed = _split(text, ":")
-    return float(ratio), int(seed)
+    return float(ratio), _seed(seed)
 
 
 @_grammar
@@ -287,14 +295,14 @@ def build_parser() -> _Parser:
     p.add_argument("--reference-dropout", type=_dropout, default="", metavar="A:P,B:P")
     p.add_argument("--keep-at-least-one-query", action="store_true")
     p.add_argument("--keep-at-least-one-reference", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("calibrate", help="fit a model on a calibration split")
     p.add_argument("--data", required=True, help="dataset directory or manifest")
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--cal-fraction", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0, help="split seed")
+    p.add_argument("--seed", type=_seed, default=0, help="split seed")
     p.add_argument("--fuser", choices=("mean", "max"), default="mean")
     p.add_argument("--negative-subsample", type=_subsample, metavar="RATIO:SEED")
     p.add_argument("--split-out", metavar="PATH",

@@ -2,9 +2,10 @@
 
 A dataset couples per-space embedding matrices for both sides (queries and
 references), presence masks saying which modalities each instance actually
-has, and a relevance map. Embeddings are stored on disk as float32 and
-promoted to float64 in memory; missing modalities are represented only by
-the masks, never by zero vectors.
+has, and a relevance map. Embeddings are 2-D finite float32 values (held
+as float64 in memory) and masks 2-D 0/1 values, each rule shared by file
+writer, file reader and MultimodalDataset, so a dataset loads back exactly
+as it was saved. Missing modalities are only masked, never zero vectors.
 
 read_binary is the only file reader, parse_json the only JSON parser, and
 read_csv and write_csv the only CSV reader and writer, so an unreadable or
@@ -88,8 +89,10 @@ def atomic_write_text(path, text: str):
 def write_json(path, doc):
     '''Write doc atomically as indented JSON with sorted keys, so equal
     documents give equal bytes. Floats are written at their shortest
-    round-trip repr, which reads back exactly.'''
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    round-trip repr, which reads back exactly; NaN and infinities, which
+    parse_json refuses, are ValueError.'''
+    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True,
+                                       allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +277,8 @@ class MultimodalDataset:
     '''In-memory dataset: embeddings per (modality, space), masks, relevance.
 
     Embedding dict keys are (modality name, space name); arrays are float64
-    with one row per instance. Mask columns follow the schema's modality
-    order for the matching side.
+    holding float32 values, one row per instance. Masks are bool, columns in
+    the schema's modality order for the matching side.
     '''
 
     schema: ModalitySchema
@@ -286,54 +289,35 @@ class MultimodalDataset:
     relevance: RelevanceMap
 
     def __post_init__(self):
-        self.query_mask = np.asarray(self.query_mask, dtype=bool)
-        self.reference_mask = np.asarray(self.reference_mask, dtype=bool)
-        for side, mask, mods in (
-            ("query", self.query_mask, self.schema.query_modalities),
-            ("reference", self.reference_mask, self.schema.reference_modalities),
-        ):
-            if mask.ndim != 2 or mask.shape[1] != len(mods):
-                raise DataFormatError(
-                    f"{side} mask must be (n, {len(mods)}), got {mask.shape}")
-        self._check_side("query", self.query_embeddings,
-                         self.query_mask, "query_modalities")
-        self._check_side("reference", self.reference_embeddings,
-                         self.reference_mask, "reference_modalities")
+        for side in ("query", "reference"):
+            self._check_side(side)
         if self.relevance.n_queries != self.n_queries:
             raise DataFormatError("relevance query count disagrees with embeddings")
         if self.relevance.n_references != self.n_references:
             raise DataFormatError("relevance reference count disagrees with embeddings")
 
-    def _check_side(self, side, embeddings, mask, coverage_attr):
-        expected = {
-            (mod, space.name)
-            for space in self.schema.spaces
-            for mod in getattr(space, coverage_attr)
-        }
+    def _check_side(self, side):
+        mask = _mask(getattr(self, f"{side}_mask"), f"{side} mask")
+        setattr(self, f"{side}_mask", mask)
+        mods = getattr(self.schema, f"{side}_modalities")
+        if mask.shape[1] != len(mods):
+            raise DataFormatError(f"{side} mask must be (n, {len(mods)}), got {mask.shape}")
+        embeddings = getattr(self, f"{side}_embeddings")
+        expected = {(mod, space.name) for space in self.schema.spaces
+                    for mod in getattr(space, f"{side}_modalities")}
         if set(embeddings) != expected:
-            missing = expected - set(embeddings)
-            extra = set(embeddings) - expected
             raise DataFormatError(
-                f"{side} embeddings keys mismatch: missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}")
-        n = mask.shape[0]
-        by_name = {s.name: s for s in self.schema.spaces}
+                f"{side} embeddings keys mismatch: missing "
+                f"{sorted(expected - set(embeddings))}, "
+                f"unexpected {sorted(set(embeddings) - expected)}")
+        dims = {space.name: space.dim for space in self.schema.spaces}
         for (mod, space_name), arr in embeddings.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            embeddings[(mod, space_name)] = arr
-            if arr.ndim != 2:
-                raise DataFormatError(f"{side} embedding {mod}/{space_name} must be 2-D")
-            if arr.shape[0] != n:
-                raise DataFormatError(
-                    f"{side} embedding {mod}/{space_name} has {arr.shape[0]} rows, "
-                    f"expected {n}")
-            if arr.shape[1] != by_name[space_name].dim:
-                raise DataFormatError(
-                    f"{side} embedding {mod}/{space_name} has dim {arr.shape[1]}, "
-                    f"space says {by_name[space_name].dim}")
-            if not np.isfinite(arr).all():
-                raise DataFormatError(
-                    f"{side} embedding {mod}/{space_name} contains NaN or Inf")
+            where = f"{side} embedding {mod}/{space_name}"
+            arr = _embedding(arr, where)
+            shape = (len(mask), dims[space_name])
+            if arr.shape != shape:
+                raise DataFormatError(f"{where} has shape {arr.shape}, expected {shape}")
+            embeddings[(mod, space_name)] = arr.astype(np.float64)
 
     @property
     def n_queries(self) -> int:
@@ -351,38 +335,39 @@ class MultimodalDataset:
 # Binary files
 # ---------------------------------------------------------------------------
 
+def _embedding(matrix, where) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused below
+        arr = np.asarray(matrix, dtype=np.float32)
+    if arr.ndim != 2 or not np.isfinite(arr).all():
+        raise DataFormatError(f"{where}: not a 2-D matrix of finite float32 values")
+    return arr
+
+
+def _mask(mask, where) -> np.ndarray:
+    arr = np.asarray(mask)
+    present = arr.astype(bool, copy=False)
+    if arr.ndim != 2 or not (arr == present).all():  # equal as bool: only 0s and 1s
+        raise DataFormatError(f"{where}: not a 2-D matrix of 0s and 1s")
+    return present
+
+
 def write_embedding_file(path, matrix):
     '''Serialize a 2-D matrix as float32 little-endian with a fixed header.'''
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("embedding matrix must be 2-D")
-    if not np.isfinite(arr).all():
-        raise ValueError("embedding matrix must be finite")
-    _write_matrix(path, EMBEDDING_MAGIC, arr.astype("<f4"))
+    _write_matrix(path, EMBEDDING_MAGIC, _embedding(matrix, path).astype("<f4", copy=False))
 
 
 def read_embedding_file(path) -> np.ndarray:
-    '''Read an embedding file back as float64. Rejects malformed files.'''
-    arr = _read_matrix(path, EMBEDDING_MAGIC, "<f4")
-    # checked before the cast, which warns on a signalling NaN
-    if not np.isfinite(arr).all():
-        raise DataFormatError(f"{path}: payload contains NaN or Inf")
-    return arr.astype(np.float64)
+    '''The float32 matrix an embedding file holds. Rejects malformed files.'''
+    return _embedding(_read_matrix(path, EMBEDDING_MAGIC, "<f4"), path)
 
 
 def write_mask_file(path, mask):
     '''Serialize a presence mask as one byte per cell (0 or 1).'''
-    arr = np.asarray(mask)
-    if arr.ndim != 2:
-        raise ValueError("mask must be 2-D")
-    _write_matrix(path, MASK_MAGIC, arr.astype(np.uint8))
+    _write_matrix(path, MASK_MAGIC, _mask(mask, path).astype(np.uint8))
 
 
 def read_mask_file(path) -> np.ndarray:
-    arr = _read_matrix(path, MASK_MAGIC, np.uint8)
-    if arr.size and not np.isin(arr, (0, 1)).all():
-        raise DataFormatError(f"{path}: mask bytes must be 0 or 1")
-    return arr.astype(bool)
+    return _mask(_read_matrix(path, MASK_MAGIC, np.uint8), path)
 
 
 def _write_matrix(path, magic, arr):
@@ -689,29 +674,36 @@ def load_dataset(path) -> MultimodalDataset:
 
 
 def save_dataset(dataset: MultimodalDataset, out_dir):
-    '''Write a dataset directory: manifest.json plus all referenced files.'''
+    '''Write a dataset directory: manifest.json plus all referenced files.
+    A dataset whose names load_dataset would not read back as they are is
+    ValueError, before any file is written.'''
+    schema = dataset.schema
+    for name in (*schema.query_modalities, *schema.reference_modalities,
+                 *(space.name for space in schema.spaces)):
+        if {"/", os.sep, "\0"} & set(name):
+            raise ValueError(f"name {name!r} cannot be part of a file name")
+    for pair in schema.pair_overrides:
+        if ":" in "".join(pair):
+            raise ValueError(f"pair_space override {pair}: a modality name "
+                             f"holding ':' cannot be written as 'qmod:rmod'")
+    spaces, files = [], {}
+    for space in schema.spaces:
+        entry = {"name": space.name, "dim": space.dim}
+        for side, embeddings, mods in (
+            ("query", dataset.query_embeddings, space.query_modalities),
+            ("reference", dataset.reference_embeddings, space.reference_modalities),
+        ):
+            names = entry[f"{side}_embeddings"] = {
+                mod: f"{side}_{mod}_{space.name}.emb" for mod in mods}
+            for mod, fname in names.items():
+                if fname in files:
+                    raise ValueError(f"two {side} embeddings would be written to {fname!r}")
+                files[fname] = embeddings[(mod, space.name)]
+        spaces.append(entry)
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    schema = dataset.schema
-    spaces = []
-    for space in schema.spaces:
-        entry = {
-            "name": space.name,
-            "dim": space.dim,
-            "query_embeddings": {},
-            "reference_embeddings": {},
-        }
-        for mod in space.query_modalities:
-            fname = f"query_{mod}_{space.name}.emb"
-            write_embedding_file(os.path.join(out_dir, fname),
-                                 dataset.query_embeddings[(mod, space.name)])
-            entry["query_embeddings"][mod] = fname
-        for mod in space.reference_modalities:
-            fname = f"reference_{mod}_{space.name}.emb"
-            write_embedding_file(os.path.join(out_dir, fname),
-                                 dataset.reference_embeddings[(mod, space.name)])
-            entry["reference_embeddings"][mod] = fname
-        spaces.append(entry)
+    for fname, matrix in files.items():
+        write_embedding_file(os.path.join(out_dir, fname), matrix)
     write_mask_file(os.path.join(out_dir, "query_mask.msk"), dataset.query_mask)
     write_mask_file(os.path.join(out_dir, "reference_mask.msk"), dataset.reference_mask)
     write_relevance_pairs(os.path.join(out_dir, "relevance.csv"), dataset.relevance)

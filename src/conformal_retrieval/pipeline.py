@@ -86,9 +86,11 @@ def validated_ids(ids, n: int, what: str) -> np.ndarray:
     arr = np.asarray(ids)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"need at least one {what} id")
-    if arr.dtype.kind not in "iu":
+    # numpy keeps Python ints that no 64-bit integer holds as objects
+    outside_int64 = arr.dtype == object and all(type(v) is int for v in arr)
+    if arr.dtype.kind not in "iu" and not outside_int64:
         raise ValueError(f"{what} ids must be integers, got dtype {arr.dtype}")
-    if arr.min() < 0 or arr.max() >= n:
+    if outside_int64 or arr.min() < 0 or arr.max() >= n:
         raise ValueError(f"{what} id out of range [0, {n})")
     return arr.astype(np.intp, copy=False)
 

@@ -115,11 +115,7 @@ def _unit_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def generate(config: SynthConfig) -> MultimodalDataset:
-    '''Build a dataset from the recipe; identical seeds give identical data.
-
-    Embeddings go through a float32 round trip before they are returned, so
-    the in-memory dataset matches what saving and re-loading would produce.
-    '''
+    '''Build a dataset from the recipe; identical seeds give identical data.'''
     _validate(config)
     try:
         schema = _schema(config)
@@ -165,8 +161,7 @@ def generate(config: SynthConfig) -> MultimodalDataset:
                                  optimize=False)
                 base += synth.noise_sigma * noise_rng.standard_normal(base.shape)
                 base += synth.score_offset * anchors[space.name]
-                out[(mod, space.name)] = (
-                    _unit_rows(base).astype(np.float32).astype(np.float64))
+                out[(mod, space.name)] = _unit_rows(base)
         return out
 
     query_embeddings = render(query_latents, config.query_modalities,

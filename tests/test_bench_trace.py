@@ -8,7 +8,9 @@ from going through a wrapped name (a batch that never calls retrieve, say),
 that metric silently drops out of the run's last line, while the tracer's
 absent list, which only names targets that no longer exist, stays empty.
 This runs one small traced measurement per recipe in-process and checks
-that every metric is there.
+that every metric is there. It also regenerates each workload's inputs at
+the pinned seed and checks them against bench/pins.json, so a change to
+the generator or the dataset writers shows here, not only in a bench run.
 '''
 
 import importlib
@@ -26,7 +28,7 @@ from conformal_retrieval.synthgen import generate
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_MODULES = ("spec", "tracer", "summary", "worker")
 # what this test uses of bench/, by module
-USED = {"spec": ("WORKLOADS", "input_digest"), "summary": ("per_layer",),
+USED = {"spec": ("WORKLOADS", "input_digest", "PIN_SEED"), "summary": ("per_layer",),
         "worker": ("Run", "PHASE_S", "synth_config")}
 
 
@@ -83,3 +85,11 @@ def test_traced_run_has_every_per_layer_metric(bench, tmp_path, monkeypatch,
     assert [name for name in names if name not in metrics] == []
     assert run.ops.failed == 0, run.ops.failures
     assert run.tracer.absent == []
+
+
+def test_pinned_inputs_are_unchanged(bench, tmp_path):
+    pins = json.loads((ROOT / "bench" / "pins.json").read_text(encoding="utf-8"))
+    for workload, spec in bench.spec.WORKLOADS.items():
+        data = tmp_path / workload
+        save_dataset(generate(bench.worker.synth_config(spec, bench.spec.PIN_SEED)), data)
+        assert bench.spec.input_digest(data) == pins[workload], workload

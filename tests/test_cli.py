@@ -99,6 +99,19 @@ class TestSynth:
     ], ids=["modality-twice", "dim-0", "unknown-modality", "space-twice",
             "pair-covered-twice"])
     def test_schema_fault_in_recipe_is_exit_1(self, tmp_path, capsys, flags):
+        self.assert_refused(tmp_path, capsys, flags)
+
+    @pytest.mark.parametrize("flags", [
+        ["--query-modalities", "a/b", "--space", "name=s,dim=4"],
+        ["--space", "name=s/t,dim=4"],
+        ["--query-modalities", "a,a_s1", "--space", "name=s1_x,dim=4,query=a",
+         "--space", "name=x,dim=4,query=a_s1"],
+    ], ids=["slash-in-modality", "slash-in-space", "one-file-name"])
+    def test_name_save_dataset_refuses_is_exit_1(self, tmp_path, capsys, flags):
+        self.assert_refused(tmp_path, capsys, flags)
+
+    @staticmethod
+    def assert_refused(tmp_path, capsys, flags):
         out = tmp_path / "x"
         code = main(["synth", "--out", str(out), "--queries", "10",
                      "--references", "5", "--query-modalities", "a",
@@ -369,6 +382,18 @@ class TestRetrieve:
                      "--k", "3", "--queries", "5,5", "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_id_past_int64_is_out_of_range(self, pipeline_dirs, tmp_path, capsys):
+        data, model, _ = pipeline_dirs
+        queries = tmp_path / "queries.json"
+        queries.write_text("[99999999999999999999999]")
+        for flags in (["--queries", "99999999999999999999999"],
+                      ["--queries-file", str(queries)]):
+            capsys.readouterr()
+            assert main(["retrieve", "--data", str(data), "--model", str(model),
+                         "--k", "3", "--out", str(tmp_path / "r.csv"), *flags]) == 1
+            assert "error: query id out of range [0, 30)" in capsys.readouterr().err
+            assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("alpha", ["inf", "nan"])
     def test_non_finite_shortlist_alpha_is_exit_1(self, pipeline_dirs, tmp_path,
                                                   capsys, alpha):
@@ -519,9 +544,13 @@ class TestUsageErrors:
         ("synth", ["--space", "name=s,dim=4", "--query-dropout", "a"]),
         ("evaluate", ["--baseline", "a:"]),
         ("calibrate", ["--negative-subsample", "0.5"]),
+        ("calibrate", ["--seed", "-1"]),
+        ("calibrate", ["--negative-subsample", "0.5:-3"]),
+        ("synth", ["--space", "name=s,dim=4", "--seed", "-2"]),
     ], ids=["dropout-key-twice", "reference-dropout-key-twice",
             "space-modality-twice", "dropout-without-probability",
-            "baseline-without-reference-modality", "subsample-without-seed"])
+            "baseline-without-reference-modality", "subsample-without-seed",
+            "negative-split-seed", "negative-subsample-seed", "negative-synth-seed"])
     def test_bad_flag_value_is_exit_1(self, pipeline_dirs, tmp_path, capsys,
                                       command, flags):
         data, model, _ = pipeline_dirs
@@ -539,7 +568,7 @@ class TestUsageErrors:
         capsys.readouterr()
         assert main(argv + flags) == 1
         err = capsys.readouterr().err
-        assert "error:" in err
+        assert f"error: argument {flags[-2]}:" in err
         assert "Traceback" not in err
         assert not out.exists()
 

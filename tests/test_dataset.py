@@ -9,7 +9,9 @@ exactly 32 bytes.
 
 import json
 import math
+import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from conformal_retrieval.dataset import (
     split_queries,
     write_csv,
     write_embedding_file,
+    write_json,
     write_mask_file,
     write_relevance_pairs,
 )
@@ -82,8 +85,8 @@ class TestEmbeddingFile:
         path = tmp_path / "m.emb"
         write_embedding_file(path, matrix)
         back = read_embedding_file(path)
-        assert back.dtype == np.float64
-        np.testing.assert_array_equal(back, matrix.astype(np.float32).astype(np.float64))
+        assert back.dtype == np.float32
+        np.testing.assert_array_equal(back, matrix.astype(np.float32))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.emb"
@@ -122,6 +125,15 @@ class TestEmbeddingFile:
         with pytest.raises(ValueError):
             write_embedding_file(tmp_path / "m.emb", np.array([[np.inf, 0.0]]))
 
+    def test_write_refuses_values_past_float32(self, tmp_path):
+        # finite at float64, inf once cast to the file's float32
+        path = tmp_path / "m.emb"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="finite float32"):
+                write_embedding_file(path, np.array([[1e300, 1.0]]))
+        assert not path.exists()
+
 
     def test_zero_columns_round_trip(self, tmp_path):
         write_embedding_file(tmp_path / "e.emb", np.zeros((3, 0)))
@@ -141,6 +153,12 @@ class TestMaskFile:
         path = tmp_path / "m.msk"
         write_mask_file(path, mask)
         np.testing.assert_array_equal(read_mask_file(path), mask)
+
+    def test_write_refuses_values_other_than_0_and_1(self, tmp_path):
+        path = tmp_path / "m.msk"
+        with pytest.raises(DataFormatError, match="0s and 1s"):
+            write_mask_file(path, np.array([[2, -1]]))
+        assert not path.exists()
 
     def test_stray_byte_value_rejected(self, tmp_path):
         path = tmp_path / "m.msk"
@@ -377,6 +395,18 @@ class TestDatasetValidation:
                 ds.query_mask, ds.reference_mask, ds.relevance,
             )
 
+    @pytest.mark.parametrize("value", [2, 0.5])
+    @pytest.mark.parametrize("side", ["query_mask", "reference_mask"])
+    def test_mask_values_other_than_0_and_1_rejected(self, side, value):
+        ds = tiny_dataset()
+        masks = {"query_mask": ds.query_mask.astype(float),
+                 "reference_mask": ds.reference_mask.astype(float)}
+        masks[side][0, 0] = value
+        with pytest.raises(DataFormatError, match="0s and 1s"):
+            MultimodalDataset(ds.schema, ds.query_embeddings,
+                              ds.reference_embeddings, relevance=ds.relevance,
+                              **masks)
+
     def test_dim_mismatch_rejected(self):
         ds = tiny_dataset()
         bad = dict(ds.reference_embeddings)
@@ -395,13 +425,38 @@ class TestManifestIO:
         back = load_dataset(tmp_path / "data")
         assert back.schema == ds.schema
         for key, arr in ds.query_embeddings.items():
-            np.testing.assert_array_equal(
-                back.query_embeddings[key],
-                arr.astype(np.float32).astype(np.float64),
-            )
+            np.testing.assert_array_equal(back.query_embeddings[key], arr)
         np.testing.assert_array_equal(back.query_mask, ds.query_mask)
         np.testing.assert_array_equal(back.reference_mask, ds.reference_mask)
         assert back.relevance.relevant == ds.relevance.relevant
+
+    @pytest.mark.parametrize("query_mods, spaces, overrides", [
+        # both write query_a_s1_x.emb
+        (("a", "a_s1"), (SharedSpace("s1_x", 2, ("a",), ("r",)),
+                         SharedSpace("x", 2, ("a_s1",), ("r",))), {}),
+        (("a/b",), (SharedSpace("s", 2, ("a/b",), ("r",)),), {}),
+        (("a",), (SharedSpace(f"s{os.sep}t", 2, ("a",), ("r",)),), {}),
+        (("a\0",), (SharedSpace("s", 2, ("a\0",), ("r",)),), {}),
+        # written as the key "a:b:r", which load_dataset refuses
+        (("a:b",), (SharedSpace("s", 2, ("a:b",), ("r",)),
+                    SharedSpace("t", 2, ("a:b",), ("r",))), {("a:b", "r"): "t"}),
+    ], ids=["one-file-name", "slash", "os-sep", "nul", "override-colon"])
+    def test_save_refuses_names_that_do_not_load_back(self, tmp_path, query_mods,
+                                                      spaces, overrides):
+        schema = ModalitySchema(query_mods, ("r",), spaces, overrides)
+        rng = np.random.default_rng(0)
+
+        def embeddings(side):
+            return {(mod, s.name): rng.standard_normal((3, s.dim))
+                    for s in spaces for mod in getattr(s, f"{side}_modalities")}
+
+        ds = MultimodalDataset(
+            schema, embeddings("query"), embeddings("reference"),
+            np.ones((3, len(query_mods)), dtype=bool), np.ones((3, 1), dtype=bool),
+            RelevanceMap(3, 3, (frozenset({0}), frozenset({1}), frozenset({2}))))
+        with pytest.raises(ValueError):
+            save_dataset(ds, tmp_path / "data")
+        assert not (tmp_path / "data").exists()
 
     def test_missing_mask_means_all_present(self, tmp_path):
         ds = tiny_dataset()
@@ -460,6 +515,13 @@ class TestManifestIO:
 
 
 class TestParseJson:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_json_refuses_what_parse_json_refuses(self, tmp_path, value):
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"a": [1.0, value]})
+        assert not path.exists()
+
     def test_parses_a_document(self):
         assert parse_json(b'{"a": [1, 2.5, "x"]}', "f") == {"a": [1, 2.5, "x"]}
 

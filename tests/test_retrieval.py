@@ -284,6 +284,13 @@ class TestIdsAndK:
         with pytest.raises(ValueError, match="integers"):
             ID_CALLS[call](model, ds, ids)
 
+    @pytest.mark.parametrize("ids", [[10**23], [-10**23, 3]], ids=["past", "below"])
+    @pytest.mark.parametrize("call", sorted(ID_CALLS))
+    def test_ids_past_int64_are_out_of_range(self, fitted, call, ids):
+        model, ds = fitted
+        with pytest.raises(ValueError, match="out of range"):
+            ID_CALLS[call](model, ds, ids)
+
     @pytest.mark.parametrize("call", sorted(ID_CALLS))
     def test_numpy_integer_ids_accepted(self, fitted, call):
         model, ds = fitted

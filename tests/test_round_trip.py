@@ -17,6 +17,10 @@ import pytest
 from conformal_retrieval.cli import _read_queries_file, main
 from conformal_retrieval.dataset import (
     DataFormatError,
+    ModalitySchema,
+    MultimodalDataset,
+    RelevanceMap,
+    SharedSpace,
     load_dataset,
     save_dataset,
     split_queries,
@@ -28,6 +32,7 @@ from conformal_retrieval.retrieval import (
     read_results_csv,
     write_results_csv,
 )
+from conformal_retrieval.similarity import pairwise_score_table
 from conformal_retrieval.synthgen import SynthConfig, SynthSpace, generate
 
 
@@ -101,6 +106,36 @@ def test_every_writer_reads_back(tmp_path, seed):
                              mode=("exact", "shortlist")[seed % 2])
     write_results_csv(tmp_path / "results.csv", results)
     assert read_results_csv(tmp_path / "results.csv") == results
+
+
+def test_float64_dataset_loads_back_bit_for_bit(tmp_path):
+    '''A dataset built from float64 arrays holds what its files hold, so its
+    save/load copy scores every cosine and fits every band the same.'''
+    rng = np.random.default_rng(5)
+    schema = ModalitySchema(("a", "b"), ("a",), (SharedSpace("s", 8, ("a", "b"), ("a",)),))
+    dataset = MultimodalDataset(
+        schema,
+        {("a", "s"): rng.standard_normal((40, 8)), ("b", "s"): rng.standard_normal((40, 8))},
+        {("a", "s"): rng.standard_normal((30, 8))},
+        rng.random((40, 2)) < 0.8, np.ones((30, 1), dtype=bool),
+        RelevanceMap(40, 30, tuple(frozenset({q % 30}) for q in range(40))))
+    save_dataset(dataset, tmp_path / "data")
+    back = load_dataset(tmp_path / "data")
+    for side in ("query_embeddings", "reference_embeddings"):
+        for key, arr in getattr(dataset, side).items():
+            assert arr.dtype == getattr(back, side)[key].dtype == np.float64
+            assert arr.tobytes() == getattr(back, side)[key].tobytes()
+    for side in ("query_mask", "reference_mask"):
+        assert getattr(dataset, side).tobytes() == getattr(back, side).tobytes()
+    for pair in schema.scoreable_pairs():
+        ours, theirs = (pairwise_score_table(ds, pair, np.arange(40), np.arange(30))
+                        for ds in (dataset, back))
+        assert ours.values.tobytes() == theirs.values.tobytes()
+        assert np.array_equal(ours.observed, theirs.observed)
+    ours, theirs = fit_model(dataset, range(20)), fit_model(back, range(20))
+    for pair, band in ours.first_stage.items():
+        assert band_bits(theirs.first_stage[pair]) == band_bits(band)
+    assert band_bits(theirs.second_stage) == band_bits(ours.second_stage)
 
 
 @pytest.mark.parametrize("results", [
