@@ -33,9 +33,9 @@ ds = generate(config)
 
 for pair in ds.schema.scoreable_pairs():
     space = ds.schema.space_for(*pair)
-    table = pairwise_score_table(ds, pair, range(ds.n_queries),
-                                 range(ds.n_references))
-    obs = table.values[table.observed]
+    values, observed = pairwise_score_table(ds, pair, range(ds.n_queries),
+                                            range(ds.n_references))
+    obs = values[observed]
     print(f"pair {pair[0]}->{pair[1]} via '{space.name}': raw scores in "
           f"[{obs.min():.3f}, {obs.max():.3f}]")
 

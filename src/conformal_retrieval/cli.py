@@ -124,20 +124,32 @@ def _dropout(text: str) -> dict:
     return {mod: float(prob) for mod, prob in _keyed(text, ":").items()}
 
 
-@_grammar
-def _ints(text: str) -> list:
-    values = [int(entry) for entry in _entries(text)]
-    if not values:
-        raise ValueError(f"no integers in {text!r}")
-    return values
+def _bounded(kind, ok, rule: str):
+    '''The grammar of one value of the given kind for which ok holds.'''
+    @_grammar
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise ValueError(f"expected {rule}, got {text!r}")
+        return value
+    return parse
 
 
-@_grammar
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise ValueError(f"a seed must be >= 0, got {seed}")
-    return seed
+_count = _bounded(int, lambda n: n >= 1, "an integer of at least 1")
+_seed = _bounded(int, lambda n: n >= 0, "a non-negative integer")
+_fraction = _bounded(float, lambda x: 0.0 < x < 1.0, "a number strictly inside (0, 1)")
+_alpha = _bounded(float, lambda x: 1.0 <= x < float("inf"), "a finite number of at least 1")
+
+
+def _ints(entry):
+    '''The grammar of a non-empty list of entry values.'''
+    @_grammar
+    def parse(text: str) -> list:
+        values = [entry(item) for item in _entries(text)]
+        if not values:
+            raise ValueError(f"no integers in {text!r}")
+        return values
+    return parse
 
 
 @_grammar
@@ -281,16 +293,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--queries", type=int, default=200)
-    p.add_argument("--references", type=int, default=100)
+    p.add_argument("--queries", type=_count, default=200)
+    p.add_argument("--references", type=_count, default=100)
     p.add_argument("--query-modalities", type=_modalities, default="a,b", metavar="A,B")
     p.add_argument("--reference-modalities", type=_modalities, default="a,b", metavar="A,B")
     p.add_argument("--space", type=_space, action="append", required=True,
                    metavar="SPEC",
                    help="name=s1,dim=64[,sigma=0.1][,offset=0][,query=a+b]"
                         "[,reference=all]; repeat per space")
-    p.add_argument("--latent-dim", type=int, default=32)
-    p.add_argument("--relevant-per-query", type=int, default=1)
+    p.add_argument("--latent-dim", type=_count, default=32)
+    p.add_argument("--relevant-per-query", type=_count, default=1)
     p.add_argument("--query-dropout", type=_dropout, default="", metavar="A:P,B:P")
     p.add_argument("--reference-dropout", type=_dropout, default="", metavar="A:P,B:P")
     p.add_argument("--keep-at-least-one-query", action="store_true")
@@ -301,7 +313,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("calibrate", help="fit a model on a calibration split")
     p.add_argument("--data", required=True, help="dataset directory or manifest")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--cal-fraction", type=float, default=0.5)
+    p.add_argument("--cal-fraction", type=_fraction, default=0.5)
     p.add_argument("--seed", type=_seed, default=0, help="split seed")
     p.add_argument("--fuser", choices=("mean", "max"), default="mean")
     p.add_argument("--negative-subsample", type=_subsample, metavar="RATIO:SEED")
@@ -313,23 +325,23 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="results CSV to write")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_count, default=None,
                    help="entries per query (default: all references)")
     p.add_argument("--mode", choices=("exact", "shortlist"), default="exact")
-    p.add_argument("--shortlist-alpha", type=float, default=4.0)
+    p.add_argument("--shortlist-alpha", type=_alpha, default=4.0)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--queries", type=_ints, metavar="I,J,K",
+    group.add_argument("--queries", type=_ints(int), metavar="I,J,K",
                        help="query ids to process (default: all)")
     group.add_argument("--queries-file", metavar="PATH",
                        help="JSON list of ids, or a --split-out file "
                             "(its \"test\" ids are used)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_count, default=1)
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("evaluate", help="score a results file against relevance")
     p.add_argument("--data", required=True)
     p.add_argument("--results", required=True, help="results CSV from retrieve")
-    p.add_argument("--ks", type=_ints, default="1,5,10", metavar="K,K,K")
+    p.add_argument("--ks", type=_ints(_count), default="1,5,10", metavar="K,K,K")
     p.add_argument("--out", help="also write the report as JSON")
     p.add_argument("--baseline", type=_pairs, metavar="QMOD:RMOD,...",
                    help="also report a raw-score baseline using these "

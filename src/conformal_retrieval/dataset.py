@@ -311,13 +311,15 @@ class MultimodalDataset:
                 f"{sorted(expected - set(embeddings))}, "
                 f"unexpected {sorted(set(embeddings) - expected)}")
         dims = {space.name: space.dim for space in self.schema.spaces}
+        checked = {}  # the caller's dict keeps its own arrays
         for (mod, space_name), arr in embeddings.items():
             where = f"{side} embedding {mod}/{space_name}"
             arr = _embedding(arr, where)
             shape = (len(mask), dims[space_name])
             if arr.shape != shape:
                 raise DataFormatError(f"{where} has shape {arr.shape}, expected {shape}")
-            embeddings[(mod, space_name)] = arr.astype(np.float64)
+            checked[(mod, space_name)] = arr.astype(np.float64)
+        setattr(self, f"{side}_embeddings", checked)
 
     @property
     def n_queries(self) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import write_json
+from .retrieval import check_k
 
 __all__ = [
     "MetricsReport",
@@ -51,18 +52,16 @@ def ranking_metrics(results, relevance, ks) -> MetricsReport:
         results: Iterable of RetrievalResult (or anything exposing
             query_index and ranked the same way).
         relevance: RelevanceMap giving the relevant set per query.
-        ks: Cutoffs, each between 1 and the reference count. Every result
-            must carry at least max(ks) distinct reference ids, each inside
-            the relevance map.
+        ks: Cutoffs, each an integer (not a bool) between 1 and the
+            reference count. Every result must carry at least max(ks)
+            distinct reference ids, each inside the relevance map.
 
     Returns:
         MetricsReport with one value per cutoff.
     '''
-    ks = tuple(sorted({int(k) for k in ks}))
+    ks = tuple(sorted({int(check_k(k, required=True)) for k in ks}))
     if not ks:
         raise ValueError("need at least one cutoff k")
-    if ks[0] < 1:
-        raise ValueError("every k must be at least 1")
     if ks[-1] > relevance.n_references:
         raise ValueError(
             f"k={ks[-1]} exceeds the reference count {relevance.n_references}")

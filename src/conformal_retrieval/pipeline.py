@@ -145,15 +145,15 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
     first_stage = {}
 
     def scored():
-        # each pair is scored once: its table fits the band, then feeds fusion
+        # each pair is scored once: its grids fit the band, then feed fusion
         for pair in dataset.schema.scoreable_pairs():
-            table = pairwise_score_table(dataset, pair, cal, refs)
-            use = table.observed & keep
-            theta = table.values[use]
+            values, observed = pairwise_score_table(dataset, pair, cal, refs)
+            use = observed & keep
+            theta = values[use]
             if theta.size < 2 or theta.min() == theta.max():
                 continue
             first_stage[pair] = band = fit_band_arrays(theta, labels[use])
-            yield band, table
+            yield band, values, observed
 
     fused, answerable = _fuse_tables(scored(), fuser, labels.shape)
     if not first_stage:
@@ -170,23 +170,21 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
 def _fuse_tables(scored, fuser, shape):
     '''Fused stage-one values for every (query, reference) cell.
 
-    scored yields (band, ScoreTable) in first-stage order, every table of
-    the given shape; tables are consumed one at a time, so a lazy iterable
-    never holds every pair's table at once.
+    scored yields (band, values, observed) in first-stage order, both grids
+    of the given shape; pairs are consumed one at a time, so a lazy
+    iterable never holds every pair's grids at once.
 
     Returns:
         (fused, answerable): float grid with -inf where no modality pair was
         observable, and the matching boolean grid.
     '''
     counts = np.zeros(shape)
-    acc = np.zeros(shape) if fuser is Fuser.MEAN else np.full(shape, -np.inf)
-    for band, table in scored:
-        obs = table.observed
-        probs = conformal_probability(band, table.values[obs])
-        if fuser is Fuser.MEAN:
-            acc[obs] += probs
-        else:
-            acc[obs] = np.maximum(acc[obs], probs)
+    # a probability count / (m + 1) is never negative, so a max from 0 equals
+    # one from -inf on every answerable cell; the rest become -inf below
+    acc = np.zeros(shape)
+    combine = np.add if fuser is Fuser.MEAN else np.maximum
+    for band, values, obs in scored:
+        acc[obs] = combine(acc[obs], conformal_probability(band, values[obs]))
         counts[obs] += 1.0
     answerable = counts > 0
     fused = np.full(shape, -np.inf)
@@ -214,7 +212,7 @@ def score_grid(model: CalibratedModel, dataset, query_ids=None,
     check_compatible(model, dataset)
     query_ids = validated_ids(query_ids, dataset.n_queries, "query")
     reference_ids = validated_ids(reference_ids, dataset.n_references, "reference")
-    scored = ((band, pairwise_score_table(dataset, pair, query_ids, reference_ids))
+    scored = ((band, *pairwise_score_table(dataset, pair, query_ids, reference_ids))
               for pair, band in model.first_stage.items())
     fused, answerable = _fuse_tables(scored, model.fuser,
                                      (len(query_ids), len(reference_ids)))

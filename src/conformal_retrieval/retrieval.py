@@ -25,6 +25,7 @@ __all__ = [
     "retrieve_shortlist",
     "batch_retrieve",
     "heuristic_baseline",
+    "check_k",
     "write_results_csv",
     "read_results_csv",
 ]
@@ -53,13 +54,14 @@ def _top(reference_ids, scores, k):
     return order if k is None else order[:k]
 
 
-def _check_k(k, required=False):
-    '''ValueError unless k is an integer of at least 1 that is not a bool,
-    or None where k is optional.'''
+def check_k(k, required=False):
+    '''k itself; ValueError unless k is an integer of at least 1 that is not
+    a bool, or None where k is optional.'''
     if k is None and not required:
-        return
+        return k
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
+    return k
 
 
 def _rank_rows(reference_ids, fused_row, prob_row, answerable_row, k):
@@ -81,7 +83,7 @@ def retrieve(model, dataset, query_index: int, k=None) -> RetrievalResult:
     Returns:
         RetrievalResult with probabilities non-increasing down the list.
     '''
-    _check_k(k)
+    check_k(k)
     probs, fused, answerable = score_grid(model, dataset, [query_index])
     refs = np.arange(dataset.n_references)
     return RetrievalResult(
@@ -96,10 +98,10 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
     ceil(alpha * k) references by raw score; the union is then scored and
     ranked exactly like retrieve. With a budget covering every reference
     the result is identical to exact retrieval; smaller budgets trade
-    recall for speed. May return fewer than k entries when the union is
-    small. References with no observable pair at all stay out of the
-    shortlist and are appended flagged, in index order, only when k
-    exceeds the answerable count.
+    recall for speed. References with no observable pair at all stay out
+    of the shortlist and are appended flagged, in index order, only when k
+    exceeds the answerable count, so every list has min(k, n_references)
+    entries.
 
     Args:
         model: Fitted CalibratedModel.
@@ -108,7 +110,7 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
         k: Number of results wanted.
         alpha: Over-fetch factor, finite and at least 1.
     '''
-    _check_k(k, required=True)
+    check_k(k, required=True)
     if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and at least 1")
     check_compatible(model, dataset)
@@ -124,8 +126,8 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
         cand = np.flatnonzero(dataset.reference_mask[:, rmods.index(rmod)])
         if cand.size == 0:
             continue
-        table = pairwise_score_table(dataset, (qmod, rmod), [query_index], cand)
-        union[cand[_top(cand, table.values[0], budget)]] = True
+        values, _ = pairwise_score_table(dataset, (qmod, rmod), [query_index], cand)
+        union[cand[_top(cand, values[0], budget)]] = True
     entries = []
     if union.any():
         refs = np.flatnonzero(union)
@@ -160,7 +162,7 @@ def batch_retrieve(model, dataset, query_ids=None, k=None, mode: str = "exact",
         raise ValueError(f"unknown retrieval mode {mode!r}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    _check_k(k, required=mode == "shortlist")
+    check_k(k, required=mode == "shortlist")
     ids = validated_ids(query_ids, dataset.n_queries, "query").tolist()
     if mode == "shortlist":
         def job(qi):
@@ -205,17 +207,17 @@ def heuristic_baseline(dataset, priority, query_ids=None, k=None) -> list:
     for pair in priority:
         if dataset.schema.space_for(*pair) is None:
             raise ValueError(f"modality pair {pair} has no shared space")
-    _check_k(k)
+    check_k(k)
     ids = validated_ids(query_ids, dataset.n_queries, "query")
     refs = np.arange(dataset.n_references)
 
     scores = np.full((ids.size, refs.size), -np.inf)
     filled = np.zeros(scores.shape, dtype=bool)
     for pair in priority:
-        table = pairwise_score_table(dataset, pair, ids, refs)
-        take = table.observed & ~filled
-        scores[take] = table.values[take]
-        filled |= table.observed
+        values, observed = pairwise_score_table(dataset, pair, ids, refs)
+        take = observed & ~filled
+        scores[take] = values[take]
+        filled |= observed
     # the raw score both orders the row and is reported in place of a
     # probability
     return [

@@ -5,27 +5,12 @@ is missing the modality are flagged in an explicit `observed` grid;
 downstream code must branch on the flag, never on their values.
 '''
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "ScoreTable",
     "cosine_table",
     "pairwise_score_table",
 ]
-
-
-@dataclass
-class ScoreTable:
-    '''Dense (queries x references) scores for one modality pair.'''
-
-    values: np.ndarray
-    observed: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.observed.shape:
-            raise ValueError("values and observed must share a shape")
 
 
 def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray) -> np.ndarray:
@@ -49,14 +34,13 @@ def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray) -> np.ndarr
     a_norm = np.sqrt(np.einsum("id,id->i", a, a, optimize=False))
     b_norm = np.sqrt(np.einsum("id,id->i", b, b, optimize=False))
     denom = a_norm[:, None] * b_norm[None, :]
-    good = denom > 0.0
     out = np.zeros_like(dots)
-    out[good] = dots[good] / denom[good]
+    np.divide(dots, denom, out=out, where=denom > 0.0)
     np.clip(out, -1.0, 1.0, out=out)
     return out
 
 
-def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> ScoreTable:
+def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> tuple:
     '''Score one modality pair over explicit id lists.
 
     Args:
@@ -65,8 +49,9 @@ def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> ScoreTable:
         query_ids / reference_ids: Index sequences into each side.
 
     Returns:
-        ScoreTable with shape (len(query_ids), len(reference_ids)); cells
-        where either side is missing the modality are unobserved.
+        (values, observed): the cosine grid and the boolean grid that is
+        False where either side is missing the modality, both of shape
+        (len(query_ids), len(reference_ids)).
     '''
     qmod, rmod = pair
     space = dataset.schema.space_for(qmod, rmod)
@@ -80,4 +65,4 @@ def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> ScoreTable:
     q_present = dataset.query_mask[query_ids, dataset.schema.query_modalities.index(qmod)]
     r_present = dataset.reference_mask[
         reference_ids, dataset.schema.reference_modalities.index(rmod)]
-    return ScoreTable(values, q_present[:, None] & r_present[None, :])
+    return values, q_present[:, None] & r_present[None, :]

@@ -374,11 +374,10 @@ def _results_bytes(ds, monkeypatch, transform_pair=None):
         original = pipeline_module.pairwise_score_table
 
         def transformed(dataset, pair, query_ids, reference_ids):
-            table = original(dataset, pair, query_ids, reference_ids)
+            values, obs = original(dataset, pair, query_ids, reference_ids)
             if tuple(pair) == transform_pair:
-                obs = table.observed
-                table.values[obs] = 3.0 * table.values[obs] + 0.1
-            return table
+                values[obs] = 3.0 * values[obs] + 0.1
+            return values, obs
 
         monkeypatch.setattr(pipeline_module, "pairwise_score_table", transformed)
     try:

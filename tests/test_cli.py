@@ -401,7 +401,7 @@ class TestRetrieve:
         assert main(["retrieve", "--data", str(data), "--model", str(model),
                      "--k", "3", "--mode", "shortlist", "--shortlist-alpha", alpha,
                      "--out", str(tmp_path / "r.csv")]) == 1
-        assert "error: alpha" in capsys.readouterr().err
+        assert "error: argument --shortlist-alpha:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[4, 2", '{"test": "4,2"}', "[true, false]"],
                              ids=["not-json", "test-not-a-list", "booleans"])
@@ -468,7 +468,7 @@ class TestEvaluate:
         assert "outside [0, 20)" in capsys.readouterr().err
 
     # a results file that agrees with the format but is too short for the
-    # cutoffs is a usage error: shortlist mode may emit fewer than k entries
+    # cutoffs is a usage error: retrieve --k below the largest cutoff makes one
     @pytest.mark.parametrize("rows, message", [
         ("0,1,3,0.5,0\n", "has 1 entries, needs 2"),
         ("", "need at least one retrieval result"),
@@ -547,10 +547,27 @@ class TestUsageErrors:
         ("calibrate", ["--seed", "-1"]),
         ("calibrate", ["--negative-subsample", "0.5:-3"]),
         ("synth", ["--space", "name=s,dim=4", "--seed", "-2"]),
+        ("synth", ["--space", "name=s,dim=4", "--queries", "0"]),
+        ("synth", ["--space", "name=s,dim=4", "--references", "-1"]),
+        ("synth", ["--space", "name=s,dim=4", "--latent-dim", "0"]),
+        ("synth", ["--space", "name=s,dim=4", "--relevant-per-query", "0"]),
+        ("calibrate", ["--cal-fraction", "1.5"]),
+        ("calibrate", ["--cal-fraction", "0"]),
+        ("retrieve", ["--workers", "0"]),
+        ("retrieve", ["--k", "0"]),
+        ("retrieve", ["--mode", "exact", "--shortlist-alpha", "nan"]),
+        ("retrieve", ["--mode", "shortlist", "--shortlist-alpha", "0.5"]),
+        ("retrieve", ["--shortlist-alpha", "inf"]),
+        ("evaluate", ["--ks", "0"]),
+        ("evaluate", ["--ks", "1,-5"]),
     ], ids=["dropout-key-twice", "reference-dropout-key-twice",
             "space-modality-twice", "dropout-without-probability",
             "baseline-without-reference-modality", "subsample-without-seed",
-            "negative-split-seed", "negative-subsample-seed", "negative-synth-seed"])
+            "negative-split-seed", "negative-subsample-seed", "negative-synth-seed",
+            "zero-queries", "negative-references", "zero-latent-dim",
+            "zero-relevant-per-query", "cal-fraction-above-1", "cal-fraction-0",
+            "zero-workers", "zero-k", "nan-alpha-in-exact-mode",
+            "alpha-below-1", "infinite-alpha", "zero-cutoff", "negative-cutoff"])
     def test_bad_flag_value_is_exit_1(self, pipeline_dirs, tmp_path, capsys,
                                       command, flags):
         data, model, _ = pipeline_dirs
@@ -562,6 +579,8 @@ class TestUsageErrors:
             "synth": ["synth", "--out", str(out), "--queries", "10",
                       "--references", "5"],
             "calibrate": ["calibrate", "--data", str(data), "--out", str(out)],
+            "retrieve": ["retrieve", "--data", str(data), "--model", str(model),
+                         "--out", str(out)],
             "evaluate": ["evaluate", "--data", str(data), "--results",
                          str(results), "--out", str(out)],
         }[command]

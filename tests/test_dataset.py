@@ -375,6 +375,22 @@ class TestDatasetValidation:
         assert ds.n_queries == 3
         assert ds.n_references == 2
 
+    def test_callers_dicts_and_arrays_left_as_they_were(self):
+        qe = {("a", "s1"): np.eye(3), ("b", "s2"): np.ones((3, 2))}
+        ref = {("a", "s1"): np.eye(3)[:2], ("b", "s2"): np.zeros((2, 2))}
+        given = [(d, dict(d), {key: arr.copy() for key, arr in d.items()})
+                 for d in (qe, ref)]
+        ds = MultimodalDataset(tiny_schema(), qe, ref, np.ones((3, 2), dtype=bool),
+                               np.ones((2, 2), dtype=bool),
+                               RelevanceMap(3, 2, (frozenset(),) * 3))
+        assert ds.query_embeddings is not qe and ds.reference_embeddings is not ref
+        for d, entries, copies in given:
+            assert d.keys() == entries.keys()
+            for key, arr in d.items():
+                assert arr is entries[key]
+                assert arr.dtype == copies[key].dtype
+                assert arr.tobytes() == copies[key].tobytes()
+
     def test_missing_embedding_key_rejected(self):
         ds = tiny_dataset()
         bad = dict(ds.query_embeddings)

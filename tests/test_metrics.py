@@ -143,6 +143,13 @@ class TestRankingMetrics:
         with pytest.raises(ValueError):
             ranking_metrics(results, relevance, ks=(0,))
 
+    @pytest.mark.parametrize("k", [2.7, True, "3"])
+    def test_non_integer_cutoff_refused(self, hand_fixture, k):
+        # refused, not truncated to 2, 1 or 3
+        results, relevance = hand_fixture
+        with pytest.raises(ValueError, match="k must be an integer"):
+            ranking_metrics(results, relevance, ks=(k,))
+
     def test_query_index_out_of_range_rejected(self):
         relevance = RelevanceMap(2, 5, (frozenset(), frozenset()))
         with pytest.raises(ValueError, match="query"):

@@ -112,6 +112,14 @@ class TestFuse:
         top = fit_model(tiny_dataset, [0, 1], fuser=Fuser.MAX)
         assert score_grid(top, tiny_dataset, [0], [0])[1][0, 0] == pytest.approx(0.8)
 
+    def test_max_of_zero_probabilities_is_zero_and_answerable(self, tiny_dataset):
+        # (0, 1) has stage-one value 0 on both pairs and (2, 1) on its only
+        # one: the max is +0.0, not the -inf of an unanswerable cell
+        top = fit_model(tiny_dataset, [0, 1], fuser=Fuser.MAX)
+        _, fused, answerable = score_grid(top, tiny_dataset, [0, 2], [1])
+        assert fused.tobytes() == np.zeros((2, 1)).tobytes()
+        assert answerable.all()
+
     def test_nothing_observed_is_none(self, tiny_dataset):
         ds = masked_tiny(tiny_dataset)
         for fuser in Fuser:
@@ -160,8 +168,8 @@ class TestFitModel:
         ds = synth_dataset()
         pairs = ds.schema.scoreable_pairs()
         observed_cells = sum(
-            int(pairwise_score_table(ds, pair, range(12), range(ds.n_references))
-                .observed.sum())
+            int(pairwise_score_table(ds, pair, range(12), range(ds.n_references))[1]
+                .sum())
             for pair in pairs)
         sizes = []
         original = pipeline_module.conformal_probability
@@ -247,8 +255,8 @@ class TestConformalMatrix:
         ds = synth_dataset()
         model = fit_model(ds, list(range(12)))
         for pair, band in model.first_stage.items():
-            table = pairwise_score_table(ds, pair, range(4), [5])
-            vals = conformal_probability(band, table.values)[table.observed]
+            values, observed = pairwise_score_table(ds, pair, range(4), [5])
+            vals = conformal_probability(band, values)[observed]
             assert np.all(vals >= 0) and np.all(vals <= 1)
 
 
@@ -279,10 +287,12 @@ class TestScorePair:
     def test_max_fuser_grid_matches_scalar(self, cell_oracle):
         ds = synth_dataset(seed=5)
         model = fit_model(ds, list(range(12)), fuser=Fuser.MAX)
-        probs, fused, _ = score_grid(model, ds)
+        probs, fused, answerable = score_grid(model, ds)
+        assert not answerable.all()
         for qi in range(ds.n_queries):
             for ri in range(ds.n_references):
-                assert probs[qi, ri] == cell_oracle(model, ds, qi, ri)[0]
+                want = cell_oracle(model, ds, qi, ri)
+                assert (probs[qi, ri], fused[qi, ri], answerable[qi, ri]) == want
         sub, _, _ = score_grid(model, ds, query_ids=[3, 7], reference_ids=[0, 4, 9])
         np.testing.assert_array_equal(sub, probs[np.ix_([3, 7], [0, 4, 9])])
 

@@ -130,6 +130,20 @@ class TestShortlist:
             # every shortlist entry keeps its exact-mode probability
             assert exact.ranked[ranked_ids.index(entry[0])] == entry
 
+    def test_every_list_has_min_k_and_reference_count_entries(self):
+        # at the smallest budget a union short of k is filled from the
+        # unanswerable tail, so no list comes back short
+        ds = synth_dataset(seed=3, query_dropout={"a": 0.5, "b": 0.5},
+                           reference_dropout={"a": 0.5, "b": 0.5})
+        model = fit_model(ds, list(range(12)))
+        flagged = 0
+        for k in (1, 3, 7, ds.n_references, ds.n_references + 5):
+            for qi in range(12, 30):
+                got = retrieve_shortlist(model, ds, qi, k=k, alpha=1.0)
+                assert len(got.ranked) == min(k, ds.n_references)
+                flagged += sum(un for _, _, un in got.ranked)
+        assert flagged > 0
+
     def test_rejects_bad_arguments(self, tiny_dataset):
         model = fit_model(tiny_dataset, [0, 1])
         with pytest.raises(ValueError):

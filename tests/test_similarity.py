@@ -33,6 +33,20 @@ class TestCosineSimilarity:
     def test_zero_norm_scores_zero(self):
         assert cosine_similarity([0.0, 0.0], [1.0, 2.0]) == 0.0
 
+    def test_zero_rows_in_a_block_score_zero(self):
+        # zero rows on both sides: their cells are +0.0, every other cell
+        # keeps the bits it scores as a 1x1 block
+        rng = np.random.default_rng(11)
+        q = rng.standard_normal((6, 5))
+        r = rng.standard_normal((7, 5))
+        q[[1, 4]] = 0.0
+        r[[0, 3, 6]] = 0.0
+        want = np.array([[0.0 if a in (1, 4) or b in (0, 3, 6)
+                          else cosine_similarity(q[a], r[b])
+                          for b in range(7)] for a in range(6)])
+        assert np.count_nonzero(want) == 4 * 4
+        assert cosine_table(q, r).tobytes() == want.tobytes()
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
@@ -56,14 +70,14 @@ class TestCosineSimilarity:
 
 class TestPairwiseScoreTable:
     def test_bulk_matches_scalar_bit_for_bit(self, tiny_dataset):
-        table = pairwise_score_table(tiny_dataset, ("a", "a"), [0, 1], [0, 1])
+        values, _ = pairwise_score_table(tiny_dataset, ("a", "a"), [0, 1], [0, 1])
         for qi_pos, qi in enumerate([0, 1]):
             for ri in range(2):
                 want = cosine_similarity(
                     tiny_dataset.query_embeddings[("a", "s1")][qi],
                     tiny_dataset.reference_embeddings[("a", "s1")][ri],
                 )
-                assert table.values[qi_pos, ri] == want
+                assert values[qi_pos, ri] == want
 
     def test_bulk_matches_scalar_on_random_block(self):
         # independent of any dataset plumbing: a raw 50x80 cross check
@@ -80,10 +94,10 @@ class TestPairwiseScoreTable:
                                       table[10:20][:, refs])
 
     def test_masked_cells_are_unobserved(self, tiny_dataset):
-        table = pairwise_score_table(tiny_dataset, ("b", "b"), [0, 1, 2], [0, 1])
+        _, observed = pairwise_score_table(tiny_dataset, ("b", "b"), [0, 1, 2], [0, 1])
         # query 1 is missing modality "b"
-        assert not table.observed[1].any()
-        assert table.observed[0].all() and table.observed[2].all()
+        assert not observed[1].any()
+        assert observed[0].all() and observed[2].all()
 
     def test_uncovered_pair_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):
@@ -97,14 +111,14 @@ class TestSimilarityMatrix:
         # (a, b) and (b, a) share no space, so the grid has two scoreable cells
         assert tiny_dataset.schema.scoreable_pairs() == (("a", "a"), ("b", "b"))
         # query 1 only has "a"
-        observed = [pairwise_score_table(tiny_dataset, pair, [1], [0]).observed[0, 0]
+        observed = [pairwise_score_table(tiny_dataset, pair, [1], [0])[1][0, 0]
                     for pair in tiny_dataset.schema.scoreable_pairs()]
         assert observed == [True, False]
 
     def test_values_match_scalar_cosine(self, tiny_dataset):
-        table = pairwise_score_table(tiny_dataset, ("b", "b"), [0], [1])
+        values, _ = pairwise_score_table(tiny_dataset, ("b", "b"), [0], [1])
         want = cosine_similarity(
             tiny_dataset.query_embeddings[("b", "s2")][0],
             tiny_dataset.reference_embeddings[("b", "s2")][1],
         )
-        assert table.values[0, 0] == want
+        assert values[0, 0] == want
