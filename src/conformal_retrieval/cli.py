@@ -10,6 +10,7 @@ files, 3 model/dataset schema mismatch.
 
 import argparse
 import logging
+import math
 import sys
 
 from .dataset import (
@@ -110,9 +111,9 @@ def _space(text: str) -> SynthSpace:
 
     return SynthSpace(
         name=fields["name"],
-        dim=int(fields["dim"]),
-        noise_sigma=float(fields.get("sigma", 0.0)),
-        score_offset=float(fields.get("offset", 0.0)),
+        dim=_count(fields["dim"]),
+        noise_sigma=_sigma(fields.get("sigma", "0")),
+        score_offset=_offset(fields.get("offset", "0")),
         query_modalities=side(fields.get("query")),
         reference_modalities=side(fields.get("reference")),
     )
@@ -121,7 +122,7 @@ def _space(text: str) -> SynthSpace:
 @_grammar
 def _dropout(text: str) -> dict:
     '''Parse "a:0.3,b:0.1" into a per-modality probability dict.'''
-    return {mod: float(prob) for mod, prob in _keyed(text, ":").items()}
+    return {mod: _probability(prob) for mod, prob in _keyed(text, ":").items()}
 
 
 def _bounded(kind, ok, rule: str):
@@ -139,6 +140,9 @@ _count = _bounded(int, lambda n: n >= 1, "an integer of at least 1")
 _seed = _bounded(int, lambda n: n >= 0, "a non-negative integer")
 _fraction = _bounded(float, lambda x: 0.0 < x < 1.0, "a number strictly inside (0, 1)")
 _alpha = _bounded(float, lambda x: 1.0 <= x < float("inf"), "a finite number of at least 1")
+_probability = _bounded(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
+_sigma = _bounded(float, lambda x: 0.0 <= x < float("inf"), "a finite sigma of at least 0")
+_offset = _bounded(float, math.isfinite, "a finite offset")
 
 
 def _ints(entry):
@@ -158,7 +162,7 @@ def _subsample(text: str) -> tuple:
     if not text:
         return None
     ratio, seed = _split(text, ":")
-    return float(ratio), _seed(seed)
+    return _probability(ratio), _seed(seed)
 
 
 @_grammar

@@ -132,9 +132,8 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
     if np.unique(cal).size != cal.size:
         raise ValueError("duplicate calibration query ids")
     labels = dataset.relevance.matrix()[cal]
-    if negative_subsample is None:
-        keep = np.ones(labels.shape, dtype=bool)
-    else:
+    keep = True
+    if negative_subsample is not None:
         ratio, seed = negative_subsample
         if not 0.0 <= ratio <= 1.0:
             raise ValueError("negative subsample ratio must lie in [0, 1]")
@@ -145,7 +144,9 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
     first_stage = {}
 
     def scored():
-        # each pair is scored once: its grids fit the band, then feed fusion
+        # each pair is scored once: its grids fit the band, then feed fusion;
+        # keep is one draw per cell for every pair, so a kept cell still
+        # fuses every pair observed on it
         for pair in dataset.schema.scoreable_pairs():
             values, observed = pairwise_score_table(dataset, pair, cal, refs)
             use = observed & keep
@@ -153,39 +154,40 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
             if theta.size < 2 or theta.min() == theta.max():
                 continue
             first_stage[pair] = band = fit_band_arrays(theta, labels[use])
-            yield band, values, observed
+            yield band, values, use
 
     fused, answerable = _fuse_tables(scored(), fuser, labels.shape)
     if not first_stage:
         raise ValueError(
             "no fittable modality pairs: every pair had fewer than two "
             "observable calibration scores or a degenerate score range")
-    use = answerable & keep
-    if np.count_nonzero(use) < 2:
+    if np.count_nonzero(answerable) < 2:
         raise ValueError("second stage needs at least two fused calibration scores")
-    second_stage = fit_band_arrays(fused[use], labels[use])
+    second_stage = fit_band_arrays(fused[answerable], labels[answerable])
     return CalibratedModel(dataset.fingerprint(), fuser, first_stage, second_stage)
 
 
 def _fuse_tables(scored, fuser, shape):
     '''Fused stage-one values for every (query, reference) cell.
 
-    scored yields (band, values, observed) in first-stage order, both grids
-    of the given shape; pairs are consumed one at a time, so a lazy
-    iterable never holds every pair's grids at once.
+    scored yields (band, values, cells) in first-stage order, both grids of
+    the given shape, where cells marks the cells the pair contributes to:
+    score_grid passes the observed cells, fit_model the observed cells it
+    kept. Pairs are consumed one at a time, so a lazy iterable never holds
+    every pair's grids at once.
 
     Returns:
-        (fused, answerable): float grid with -inf where no modality pair was
-        observable, and the matching boolean grid.
+        (fused, answerable): float grid with -inf where no pair contributes,
+        and the matching boolean grid.
     '''
     counts = np.zeros(shape)
     # a probability count / (m + 1) is never negative, so a max from 0 equals
     # one from -inf on every answerable cell; the rest become -inf below
     acc = np.zeros(shape)
     combine = np.add if fuser is Fuser.MEAN else np.maximum
-    for band, values, obs in scored:
-        acc[obs] = combine(acc[obs], conformal_probability(band, values[obs]))
-        counts[obs] += 1.0
+    for band, values, cells in scored:
+        acc[cells] = combine(acc[cells], conformal_probability(band, values[cells]))
+        counts[cells] += 1.0
     answerable = counts > 0
     fused = np.full(shape, -np.inf)
     if fuser is Fuser.MEAN:

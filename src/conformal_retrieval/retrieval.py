@@ -54,14 +54,20 @@ def _top(reference_ids, scores, k):
     return order if k is None else order[:k]
 
 
+def _check_count(value, name: str):
+    '''value itself; ValueError naming it unless it is an integer of at
+    least 1 that is not a bool.'''
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return value
+
+
 def check_k(k, required=False):
     '''k itself; ValueError unless k is an integer of at least 1 that is not
     a bool, or None where k is optional.'''
     if k is None and not required:
         return k
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
-    return k
+    return _check_count(k, "k")
 
 
 def _rank_rows(reference_ids, fused_row, prob_row, answerable_row, k):
@@ -108,11 +114,11 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
         dataset: Dataset with the matching schema fingerprint.
         query_index: Query to rank references for.
         k: Number of results wanted.
-        alpha: Over-fetch factor, finite and at least 1.
+        alpha: Over-fetch factor, a finite number of at least 1, not a bool.
     '''
     check_k(k, required=True)
-    if not 1.0 <= alpha < math.inf:
-        raise ValueError("alpha must be finite and at least 1")
+    if isinstance(alpha, (bool, np.bool_)) or not 1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number of at least 1, got {alpha!r}")
     check_compatible(model, dataset)
     validated_ids([query_index], dataset.n_queries, "query")
     # no pair has more candidates than references; min keeps a huge k off floats
@@ -153,15 +159,14 @@ def batch_retrieve(model, dataset, query_ids=None, k=None, mode: str = "exact",
         k: Entries per query; all references when None.
         mode: "exact" or "shortlist".
         shortlist_alpha: Over-fetch factor for shortlist mode.
-        workers: Thread count, at least 1.
+        workers: Thread count, an integer of at least 1.
 
     Returns:
         List of RetrievalResult aligned with query_ids.
     '''
     if mode not in ("exact", "shortlist"):
         raise ValueError(f"unknown retrieval mode {mode!r}")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    _check_count(workers, "workers")
     check_k(k, required=mode == "shortlist")
     ids = validated_ids(query_ids, dataset.n_queries, "query").tolist()
     if mode == "shortlist":

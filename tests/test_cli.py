@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conformal_retrieval.cli import main
-from conformal_retrieval.dataset import load_dataset
+from conformal_retrieval.dataset import load_dataset, write_mask_file
 from conformal_retrieval.pipeline import load_model
 from conformal_retrieval.retrieval import read_results_csv
 
@@ -170,11 +170,95 @@ def assert_one_error(capsys):
     err = capsys.readouterr().err
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert "Traceback" not in err
+    return err
+
+
+def repack_model(blob, edit=lambda doc: doc, pad=b"\0"):
+    '''A model file with its metadata edited and its padding made of pad
+    bytes; the metadata gets a trailing space where it would need none.'''
+    (meta_len,) = struct.unpack_from("<Q", blob, 8)
+    end = 16 + meta_len
+    meta = json.dumps(edit(json.loads(blob[16:end]))).encode()
+    meta += b" " * ((16 + len(meta)) % 8 == 0)
+    padding = pad * (-(16 + len(meta)) % 8)
+    return (struct.pack("<4sHHQ", b"A2AC", 2, 0, len(meta)) + meta + padding
+            + blob[end + -end % 8:])
+
+
+def damage_model(**repack):
+    def damage(data, model):
+        model.write_bytes(repack_model(model.read_bytes(), **repack))
+    return damage
+
+
+def damage_manifest(mutate):
+    def damage(data, model):
+        manifest = data / "manifest.json"
+        manifest.write_text(json.dumps(mutate(json.loads(manifest.read_text()))))
+    return damage
+
+
+def damage_positions(first_row, query_rows):
+    '''Relevance from position files whose first query row is first_row.'''
+    def damage(data, model):
+        rows = "".join(f"{i},{i},0\n" for i in range(1, query_rows))
+        (data / "qpos.csv").write_text("id,x,y\n" + first_row + rows)
+        (data / "rpos.csv").write_text(
+            "id,x,y\n" + "".join(f"{i},{i},0\n" for i in range(20)))
+        damage_manifest(lambda m: set_in(m, ["relevance"], {
+            "type": "positions", "query_path": "qpos.csv",
+            "reference_path": "rpos.csv", "threshold_meters": 1.5}))(data, model)
+    return damage
 
 
 class TestMalformedInputs:
     '''Every input a writer could not have produced exits 2 with one error
     line, whichever file it is in.'''
+
+    @pytest.mark.parametrize("command, damage, message", [
+        ("retrieve", damage_model(pad=b"\1"), "nonzero padding"),
+        ("retrieve", damage_model(edit=lambda doc: {**doc, "schema_fingerprint": ""}),
+         "empty schema_fingerprint"),
+        ("calibrate", damage_manifest(lambda m: set_in(m, ["pair_space"], {"aa": "s1"})),
+         "must look like 'qmod:rmod'"),
+        ("calibrate", damage_manifest(lambda m: set_in(m, ["spaces", 1], "s2")),
+         "space entries must be objects"),
+        ("calibrate", damage_manifest(lambda m: set_in(
+            m, ["spaces", 0, "reference_embeddings", "z"], "reference_a_s1.emb")),
+         "unknown reference modality"),
+        ("calibrate", damage_manifest(
+            lambda m: set_in(m, ["reference_modalities"], ["a", "b", "a"])),
+         "duplicate reference modality"),
+        ("calibrate", damage_manifest(lambda m: set_in(m, ["reference_modalities"], [])),
+         "modalities on both sides"),
+        ("calibrate", lambda data, model: (data / "relevance.csv").write_text(
+            (data / "relevance.csv").read_text() + "30,0\n"),
+         "query_id 30 outside"),
+        ("calibrate", damage_positions("0,nan,0\n", 30), "coordinates must be finite"),
+        ("calibrate", damage_positions("0,0,0\n", 29), "query count disagrees"),
+        ("calibrate", lambda data, model: write_mask_file(
+            data / "query_mask.msk", np.ones((30, 3), dtype=bool)),
+         "query mask must be"),
+    ], ids=["model-padding", "model-empty-fingerprint", "pair-space-key-without-colon",
+            "space-entry-not-an-object", "space-covers-unknown-reference-modality",
+            "repeated-reference-modality", "no-reference-modalities",
+            "relevance-query-out-of-range", "nan-position", "position-rows-disagree",
+            "mask-column-count"])
+    def test_damaged_input_is_exit_2(self, pipeline_dirs, tmp_path, capsys,
+                                     command, damage, message):
+        data, model, _ = pipeline_dirs
+        damage(data, model)
+        out, split = tmp_path / "out", tmp_path / "split-out.json"
+        argv = {
+            "calibrate": ["calibrate", "--data", str(data), "--out", str(out),
+                          "--split-out", str(split)],
+            "retrieve": ["retrieve", "--data", str(data), "--model", str(model),
+                         "--k", "3", "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert message in assert_one_error(capsys)
+        assert not out.exists() and not split.exists()
 
     def calibrate(self, data, tmp_path):
         return main(["calibrate", "--data", str(data),
@@ -560,6 +644,15 @@ class TestUsageErrors:
         ("retrieve", ["--shortlist-alpha", "inf"]),
         ("evaluate", ["--ks", "0"]),
         ("evaluate", ["--ks", "1,-5"]),
+        ("calibrate", ["--negative-subsample", "1.5:3"]),
+        ("calibrate", ["--negative-subsample", "nan:3"]),
+        ("synth", ["--space", "name=s,dim=4", "--query-dropout", "a:1.5"]),
+        ("synth", ["--space", "name=s,dim=4", "--query-dropout", "a:nan"]),
+        ("synth", ["--space", "name=s,dim=4", "--reference-dropout", "b:-0.1"]),
+        ("synth", ["--space", "name=s,dim=0"]),
+        ("synth", ["--space", "name=s,dim=4,sigma=nan"]),
+        ("synth", ["--space", "name=s,dim=4,sigma=-1"]),
+        ("synth", ["--space", "name=s,dim=4,offset=inf"]),
     ], ids=["dropout-key-twice", "reference-dropout-key-twice",
             "space-modality-twice", "dropout-without-probability",
             "baseline-without-reference-modality", "subsample-without-seed",
@@ -567,7 +660,11 @@ class TestUsageErrors:
             "zero-queries", "negative-references", "zero-latent-dim",
             "zero-relevant-per-query", "cal-fraction-above-1", "cal-fraction-0",
             "zero-workers", "zero-k", "nan-alpha-in-exact-mode",
-            "alpha-below-1", "infinite-alpha", "zero-cutoff", "negative-cutoff"])
+            "alpha-below-1", "infinite-alpha", "zero-cutoff", "negative-cutoff",
+            "subsample-ratio-above-1", "nan-subsample-ratio",
+            "dropout-above-1", "nan-dropout", "negative-reference-dropout",
+            "zero-space-dim", "nan-space-sigma", "negative-space-sigma",
+            "infinite-space-offset"])
     def test_bad_flag_value_is_exit_1(self, pipeline_dirs, tmp_path, capsys,
                                       command, flags):
         data, model, _ = pipeline_dirs

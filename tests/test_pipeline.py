@@ -16,7 +16,11 @@ import numpy as np
 import pytest
 
 import conformal_retrieval.pipeline as pipeline_module
-from conformal_retrieval.conformal import PredictionBand, conformal_probability
+from conformal_retrieval.conformal import (
+    PredictionBand,
+    conformal_probability,
+    fit_band_arrays,
+)
 from conformal_retrieval.dataset import (
     DataFormatError,
     MultimodalDataset,
@@ -161,6 +165,19 @@ class TestFitModel:
         fit_model(tiny_dataset, [0, 1])
         assert calls == [("a", "a"), ("b", "b")]
 
+    @staticmethod
+    def lookup_sizes(monkeypatch, ds, **fit_args):
+        '''(model, [cells looked up per stage-one call]) of one fit.'''
+        sizes = []
+        original = pipeline_module.conformal_probability
+
+        def counting(band, theta):
+            sizes.append(np.size(theta))
+            return original(band, theta)
+
+        monkeypatch.setattr(pipeline_module, "conformal_probability", counting)
+        return fit_model(ds, list(range(12)), **fit_args), sizes
+
     @pytest.mark.parametrize("fuser", list(Fuser))
     def test_looks_up_observed_cells_only(self, monkeypatch, fuser):
         # unobserved cells hold arbitrary scores, and a band lookup on them
@@ -171,17 +188,40 @@ class TestFitModel:
             int(pairwise_score_table(ds, pair, range(12), range(ds.n_references))[1]
                 .sum())
             for pair in pairs)
-        sizes = []
-        original = pipeline_module.conformal_probability
-
-        def counting(band, theta):
-            sizes.append(np.size(theta))
-            return original(band, theta)
-
-        monkeypatch.setattr(pipeline_module, "conformal_probability", counting)
-        model = fit_model(ds, list(range(12)), fuser=fuser)
+        model, sizes = self.lookup_sizes(monkeypatch, ds, fuser=fuser)
         assert len(model.first_stage) == len(sizes) == len(pairs)
         assert sum(sizes) == observed_cells < len(pairs) * 12 * ds.n_references
+
+    @pytest.mark.parametrize("fuser", list(Fuser))
+    def test_looks_up_kept_cells_only(self, monkeypatch, fuser):
+        # the subsample decides the calibration cells once; a cell it drops
+        # is never looked up
+        ds = synth_dataset()
+        labels = ds.relevance.matrix()[:12]
+        keep = labels | (np.random.default_rng(7).random(labels.shape) < 0.25)
+        model, sizes = self.lookup_sizes(monkeypatch, ds, fuser=fuser,
+                                         negative_subsample=(0.25, 7))
+        kept_cells = sum(
+            int((pairwise_score_table(ds, pair, range(12),
+                                      range(ds.n_references))[1] & keep).sum())
+            for pair in model.first_stage)
+        assert sizes == [band.size for band in model.first_stage.values()]
+        assert sum(sizes) == kept_cells < keep.size
+
+    @pytest.mark.parametrize("ratio", [0.02, 0.25, 1.0])
+    @pytest.mark.parametrize("fuser", list(Fuser))
+    def test_second_stage_fits_the_kept_cells_of_the_full_grid(self, fuser, ratio):
+        # oracle: fuse every observed calibration cell as score_grid does,
+        # then fit stage two on the kept answerable ones
+        ds = synth_dataset()
+        cal = np.arange(12)
+        model = fit_model(ds, cal, fuser=fuser, negative_subsample=(ratio, 7))
+        labels = ds.relevance.matrix()[cal]
+        keep = labels | (np.random.default_rng(7).random(labels.shape) < ratio)
+        _, fused, answerable = score_grid(model, ds, cal)
+        use = answerable & keep
+        assert band_bits(model.second_stage) == band_bits(
+            fit_band_arrays(fused[use], labels[use]))
 
     def test_unfittable_pair_is_omitted(self, tiny_dataset):
         # with only query 1 in calibration, modality "b" has no usable rows

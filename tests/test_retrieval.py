@@ -331,6 +331,24 @@ class TestIdsAndK:
         model, ds = fitted
         assert K_CALLS[call](model, ds, np.int64(3)) == K_CALLS[call](model, ds, 3)
 
+    @pytest.mark.parametrize("workers", [True, 2.5, np.float64(2.0), 0, "2"],
+                             ids=["bool", "float", "numpy-float", "zero", "string"])
+    def test_workers_must_be_a_positive_integer(self, fitted, workers):
+        model, ds = fitted
+        with pytest.raises(ValueError, match="workers must be"):
+            batch_retrieve(model, ds, [0, 1], k=3, workers=workers)
+
+    def test_numpy_integer_workers_accepted(self, fitted):
+        model, ds = fitted
+        assert batch_retrieve(model, ds, [0, 1], k=3, workers=np.int64(2)) == \
+            batch_retrieve(model, ds, [0, 1], k=3)
+
+    @pytest.mark.parametrize("alpha", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_bool_alpha_refused(self, fitted, alpha):
+        model, ds = fitted
+        with pytest.raises(ValueError, match="alpha must be"):
+            retrieve_shortlist(model, ds, 0, 3, alpha=alpha)
+
 
 class TestResultsCsv:
     def test_round_trip(self, tmp_path):

@@ -25,7 +25,7 @@ from conformal_retrieval.dataset import (
     save_dataset,
     split_queries,
 )
-from conformal_retrieval.pipeline import fit_model, load_model
+from conformal_retrieval.pipeline import fit_model, load_model, score_grid
 from conformal_retrieval.retrieval import (
     RetrievalResult,
     batch_retrieve,
@@ -136,6 +136,30 @@ def test_float64_dataset_loads_back_bit_for_bit(tmp_path):
     for pair, band in ours.first_stage.items():
         assert band_bits(theirs.first_stage[pair]) == band_bits(band)
     assert band_bits(theirs.second_stage) == band_bits(ours.second_stage)
+
+
+def test_pair_space_override_round_trips(tmp_path):
+    '''An override the schema needs (two spaces cover a:a) is written to the
+    manifest and read back with the same fingerprint and scores.'''
+    rng = np.random.default_rng(9)
+    schema = ModalitySchema(
+        ("a", "b"), ("a",),
+        (SharedSpace("s1", 6, ("a", "b"), ("a",)), SharedSpace("s2", 4, ("a",), ("a",))),
+        pair_overrides={("a", "a"): "s2"})
+    dataset = MultimodalDataset(
+        schema,
+        {("a", "s1"): rng.standard_normal((30, 6)), ("b", "s1"): rng.standard_normal((30, 6)),
+         ("a", "s2"): rng.standard_normal((30, 4))},
+        {("a", "s1"): rng.standard_normal((20, 6)), ("a", "s2"): rng.standard_normal((20, 4))},
+        rng.random((30, 2)) < 0.8, np.ones((20, 1), dtype=bool),
+        RelevanceMap(30, 20, tuple(frozenset({q % 20}) for q in range(30))))
+    save_dataset(dataset, tmp_path / "data")
+    back = load_dataset(tmp_path / "data")
+    assert back.schema.pair_overrides == {("a", "a"): "s2"}
+    assert back.fingerprint() == dataset.fingerprint()
+    model = fit_model(dataset, range(15))
+    for ours, theirs in zip(score_grid(model, dataset), score_grid(model, back)):
+        assert ours.tobytes() == theirs.tobytes()
 
 
 @pytest.mark.parametrize("results", [
