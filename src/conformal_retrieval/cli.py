@@ -111,7 +111,7 @@ def _space(text: str) -> SynthSpace:
 
     return SynthSpace(
         name=fields["name"],
-        dim=_count(fields["dim"]),
+        dim=_dim(fields["dim"]),
         noise_sigma=_sigma(fields.get("sigma", "0")),
         score_offset=_offset(fields.get("offset", "0")),
         query_modalities=side(fields.get("query")),
@@ -141,6 +141,7 @@ _seed = _bounded(int, lambda n: n >= 0, "a non-negative integer")
 _fraction = _bounded(float, lambda x: 0.0 < x < 1.0, "a number strictly inside (0, 1)")
 _alpha = _bounded(float, lambda x: 1.0 <= x < float("inf"), "a finite number of at least 1")
 _probability = _bounded(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
+_dim = _bounded(int, lambda n: n >= 1, "an integer dim of at least 1")
 _sigma = _bounded(float, lambda x: 0.0 <= x < float("inf"), "a finite sigma of at least 0")
 _offset = _bounded(float, math.isfinite, "a finite offset")
 

@@ -4,10 +4,19 @@ A band is fitted once on labeled calibration scores and then reused: it
 min-max normalizes a raw score into [0, 1], measures nonconformity as the
 absolute residual against a binary label, and converts fresh scores into
 set-valued predictions or a scalar confidence in (roughly) [0, 1].
+
+The confidence counts the nonconformity scores below a normalized score.
+The count is exact, bit-equal to a binary search over the band. Each band
+builds an int32 bucket table on its first lookup, which narrows every
+count to one bucket; a fixed number of branch-free passes, the bit length
+of the band's fullest bucket, resolves it there. On spread-out scores that
+is a few passes whatever the band size; a band of equal scores needs
+log2(m), as a binary search would.
 '''
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +66,25 @@ class PredictionBand:
     @property
     def size(self) -> int:
         return int(self.sorted_gamma.size)
+
+    @cached_property
+    def _buckets(self):
+        '''(start, passes), built on the first lookup, never at load.
+
+        With B the power of two at or above m, start[b] counts the scores
+        below b / B for b = 0 .. B + 1, as int32. Scaling by B is exact, so a
+        normalized score t has floor(t * B) = b exactly when b / B <= t <
+        (b + 1) / B, and its count lies in [start[b], start[b + 1]]. passes
+        is the bit length of the fullest bucket, enough binary-lifting steps
+        to cover any bucket.
+        '''
+        gamma = self.sorted_gamma
+        scale = 1 << (gamma.size - 1).bit_length()
+        per_bucket = np.bincount((gamma * scale).astype(np.intp),
+                                 minlength=scale + 1)
+        start = np.zeros(scale + 2, dtype=np.int32)
+        np.cumsum(per_bucket, out=start[1:])
+        return start, int(per_bucket.max()).bit_length()
 
 
 def fit_band_arrays(theta, y) -> PredictionBand:
@@ -112,10 +140,27 @@ def conformal_probability(band: PredictionBand, theta):
 
     Counts calibration nonconformity scores strictly below the normalized
     score and divides by m + 1. Monotone non-decreasing in theta, never
-    reaching 1. Accepts scalars or arrays.
+    reaching 1. Accepts scalars or arrays; NaN is refused.
+
+    The count is exact and equals a left binary search over the sorted
+    scores bit for bit. The band's bucket table narrows it to one bucket;
+    binary lifting then adds each power-of-two step whose last score,
+    gamma[count + step - 1], is still below t. Scores past the bucket are
+    at least its upper edge, so they compare False with no per-cell bound.
+    An index past the band clips to the last score, which overshoots only
+    when every score is below t, and the final minimum maps that to m.
     '''
-    theta_tilde = normalize_score(band, theta)
-    count = np.searchsorted(band.sorted_gamma, theta_tilde, side="left")
-    out = count / (band.size + 1)
-    return float(out) if np.ndim(theta) == 0 else out
+    t = np.atleast_1d(normalize_score(band, theta))
+    if np.isnan(t).any():
+        raise ValueError("raw scores must not be NaN")
+    start, passes = band._buckets
+    gamma = band.sorted_gamma
+    count = start.take((t * (start.size - 2)).astype(np.intp)).astype(np.intp)
+    # a step never exceeds the fullest bucket, so gamma[step - 1:] is never empty
+    for shift in reversed(range(passes)):
+        step = 1 << shift
+        np.add(count, step, out=count,
+               where=gamma[step - 1:].take(count, mode="clip") < t)
+    out = np.minimum(count, gamma.size) / (gamma.size + 1)
+    return float(out[0]) if np.ndim(theta) == 0 else out
 

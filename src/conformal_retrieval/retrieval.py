@@ -10,6 +10,7 @@ shortlist's per-pair candidate pick and the raw-score baseline.
 '''
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -59,6 +60,16 @@ def _check_count(value, name: str):
     least 1 that is not a bool.'''
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return value
+
+
+def _check_alpha(value, name: str):
+    '''value itself; ValueError naming it unless it is a finite real number
+    of at least 1 that is not a bool.'''
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not 1.0 <= value < math.inf):
+        raise ValueError(
+            f"{name} must be a finite number of at least 1, got {value!r}")
     return value
 
 
@@ -117,8 +128,7 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
         alpha: Over-fetch factor, a finite number of at least 1, not a bool.
     '''
     check_k(k, required=True)
-    if isinstance(alpha, (bool, np.bool_)) or not 1.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be a finite number of at least 1, got {alpha!r}")
+    _check_alpha(alpha, "alpha")
     check_compatible(model, dataset)
     validated_ids([query_index], dataset.n_queries, "query")
     # no pair has more candidates than references; min keeps a huge k off floats
@@ -158,7 +168,8 @@ def batch_retrieve(model, dataset, query_ids=None, k=None, mode: str = "exact",
         query_ids: Queries to process, in output order; all when None.
         k: Entries per query; all references when None.
         mode: "exact" or "shortlist".
-        shortlist_alpha: Over-fetch factor for shortlist mode.
+        shortlist_alpha: Over-fetch factor for shortlist mode, checked in
+            either mode as retrieve_shortlist checks alpha.
         workers: Thread count, an integer of at least 1.
 
     Returns:
@@ -167,6 +178,7 @@ def batch_retrieve(model, dataset, query_ids=None, k=None, mode: str = "exact",
     if mode not in ("exact", "shortlist"):
         raise ValueError(f"unknown retrieval mode {mode!r}")
     _check_count(workers, "workers")
+    _check_alpha(shortlist_alpha, "shortlist_alpha")
     check_k(k, required=mode == "shortlist")
     ids = validated_ids(query_ids, dataset.n_queries, "query").tolist()
     if mode == "shortlist":

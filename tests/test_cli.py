@@ -685,6 +685,10 @@ class TestUsageErrors:
         assert main(argv + flags) == 1
         err = capsys.readouterr().err
         assert f"error: argument {flags[-2]}:" in err
+        # a bad --space number names its field, like dim in "name=s,dim=0"
+        field = flags[-1].rsplit(",", 1)[-1].split("=")[0]
+        if flags[-2] == "--space" and field in ("dim", "sigma", "offset"):
+            assert field in err.rsplit(f"argument {flags[-2]}:", 1)[1]
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -6,10 +6,16 @@ here on purpose: fit_band_arrays on {(0.2,0), (0.5,1), (0.8,1)} must produce the
 range [0.2, 0.8] and sorted nonconformity scores [0, 0, 0.5], and the
 probability transform on that band must hit 3/4, 0, and 3/4 for raw scores
 0.65, 0.2, and 0.95.
+
+The lookup tests hold conformal_probability to a left binary search over
+the sorted scores by ==, never by a tolerance: the bucket table is a way
+to find the same count, not an approximation of it.
 '''
 
 import math
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +27,7 @@ from conformal_retrieval.conformal import (
     fit_band_arrays,
     normalize_score,
 )
+from conformal_retrieval.pipeline import fit_model, load_model, save_model
 
 HAND_THETA, HAND_Y = [0.2, 0.5, 0.8], [0, 1, 1]
 
@@ -171,6 +178,148 @@ class TestConformalProbability:
         probs = conformal_probability(band, rng.uniform(-2, 3, size=500))
         assert np.all(probs >= 0.0)
         assert np.all(probs <= 30 / 31)
+
+
+def unit_band(gamma):
+    '''Band over the raw range [0, 1], where a raw score is its own
+    normalized score, so probes can sit one ulp from a gamma.'''
+    return PredictionBand(0.0, 1.0, np.sort(np.asarray(gamma, dtype=np.float64)))
+
+
+def assert_counts_exactly(band, theta):
+    '''The probability at every raw score is a left binary search's count
+    over m + 1, compared by ==.'''
+    counts = np.searchsorted(band.sorted_gamma, normalize_score(band, theta),
+                             side="left")
+    np.testing.assert_array_equal(conformal_probability(band, theta),
+                                  counts / (band.size + 1))
+
+
+def probes_around(gamma):
+    '''Each gamma, the floats one ulp either side of it, 0 and 1.'''
+    return np.r_[gamma, np.nextafter(gamma, -1.0), np.nextafter(gamma, 2.0),
+                 0.0, 1.0]
+
+
+class TestBucketLookup:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_bands(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 3000))
+        gamma = [rng.random(m), rng.beta(0.2, 3.0, m), rng.beta(3.0, 0.2, m),
+                 np.r_[np.zeros(m // 2), rng.random(m - m // 2)]][seed % 4]
+        band = unit_band(gamma)
+        assert_counts_exactly(band, np.r_[rng.random(2000), probes_around(gamma)])
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 7, 20])
+    def test_long_runs_of_equal_gammas(self, levels):
+        rng = np.random.default_rng(levels)
+        gamma = rng.integers(0, levels + 1, 5000) / levels
+        band = unit_band(gamma)
+        assert_counts_exactly(band, np.r_[rng.random(500), probes_around(gamma)])
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 0.5])
+    @pytest.mark.parametrize("m", [2, 3, 1000])
+    def test_constant_bands(self, value, m):
+        band = unit_band(np.full(m, value))
+        assert_counts_exactly(band, probes_around(np.array([value])))
+        assert conformal_probability(band, 1.0) == (m if value < 1.0 else 0) / (m + 1)
+
+    def test_band_of_two(self):
+        for gamma in ([0.0, 1.0], [0.25, 0.25], [0.5, 0.75], [1.0, 1.0]):
+            band = unit_band(gamma)
+            assert_counts_exactly(band, np.r_[probes_around(np.array(gamma)),
+                                              np.linspace(0, 1, 101)])
+
+    @pytest.mark.parametrize("m", [2, 64, 65, 1024, 1025, 4096, 4097])
+    def test_sizes_at_and_just_past_a_power_of_two(self, m):
+        rng = np.random.default_rng(m)
+        gamma = rng.random(m)
+        band = unit_band(gamma)
+        assert_counts_exactly(band, np.r_[rng.random(1000), probes_around(gamma)])
+
+    def test_edges_of_the_unit_interval(self):
+        band = unit_band([0.0, 0.0, 0.5, 1.0, 1.0])
+        assert conformal_probability(band, 0.0) == 0.0
+        assert conformal_probability(band, 1.0) == 3 / 6
+        assert conformal_probability(band, np.nextafter(1.0, 0.0)) == 3 / 6
+        assert conformal_probability(band, np.nextafter(0.0, 1.0)) == 2 / 6
+        assert_counts_exactly(band, np.array([0.0, 1.0]))
+
+    def test_raw_scores_outside_the_calibration_range(self):
+        rng = np.random.default_rng(9)
+        band = random_band(rng, m=777)
+        span = band.theta_max - band.theta_min
+        theta = np.r_[rng.uniform(band.theta_min - 3 * span,
+                                  band.theta_max + 3 * span, 3000),
+                      -np.inf, np.inf, -1e300, 1e300,
+                      band.theta_min, band.theta_max,
+                      np.nextafter(band.theta_min, -np.inf),
+                      np.nextafter(band.theta_max, np.inf)]
+        assert_counts_exactly(band, theta)
+        assert conformal_probability(band, -np.inf) == 0.0
+
+    def test_scalar_empty_and_grid_shapes(self):
+        rng = np.random.default_rng(4)
+        band = random_band(rng, m=300)
+        scalar = conformal_probability(band, np.float64(0.4))
+        assert type(scalar) is float
+        assert scalar == conformal_probability(band, np.array([0.4]))[0]
+        assert conformal_probability(band, 0.4) == scalar
+        empty = conformal_probability(band, np.array([]))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        grid = rng.uniform(-0.5, 1.5, (7, 11))
+        out = conformal_probability(band, grid)
+        assert out.shape == (7, 11)
+        np.testing.assert_array_equal(out.ravel(),
+                                      conformal_probability(band, grid.ravel()))
+
+    def test_nan_refused(self):
+        band = hand_band()
+        for theta in (math.nan, np.array([0.3, math.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                conformal_probability(band, theta)
+
+    def test_table_counts_gammas_below_each_bucket_edge(self):
+        gamma = np.array([0.0, 0.1, 0.1, 0.1, 0.5, 0.75, 1.0])
+        start, passes = unit_band(gamma)._buckets
+        scale = 8  # the power of two at or above m = 7
+        assert start.dtype == np.int32
+        np.testing.assert_array_equal(
+            start, [np.sum(gamma < b / scale) for b in range(scale + 2)])
+        assert passes == 3  # four gammas share [0, 1/8): steps 4, 2, 1
+
+    def test_table_is_built_on_first_lookup_not_at_load(self, tiny_dataset, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(fit_model(tiny_dataset, [0, 1]), path)
+        model = load_model(path)
+        bands = [*model.first_stage.values(), model.second_stage]
+        assert not any("_buckets" in vars(band) for band in bands)
+        first = bands[0]
+        conformal_probability(first, 0.5)
+        table = vars(first)["_buckets"]
+        conformal_probability(first, np.array([0.1, 0.9]))
+        assert vars(first)["_buckets"] is table
+        assert not any("_buckets" in vars(band) for band in bands[1:])
+
+    def test_first_lookups_from_many_threads(self):
+        # batch_retrieve's workers share a loaded model, so several threads
+        # can make a band's first lookup at once
+        rng = np.random.default_rng(12)
+        theta = rng.random(4000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                band = unit_band(rng.random(50_000))
+                want = conformal_probability(unit_band(band.sorted_gamma), theta)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(conformal_probability, band, theta)
+                               for _ in range(16)]
+                    for future in futures:
+                        np.testing.assert_array_equal(future.result(timeout=60), want)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBruteForceAgreement:

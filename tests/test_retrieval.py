@@ -7,6 +7,7 @@ q0 -> [0.6, 0.0] and q1 -> [0.0, 0.8] over the two references.
 '''
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -348,6 +349,27 @@ class TestIdsAndK:
         model, ds = fitted
         with pytest.raises(ValueError, match="alpha must be"):
             retrieve_shortlist(model, ds, 0, 3, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", ["junk", None, math.nan, math.inf],
+                             ids=["string", "none", "nan", "inf"])
+    def test_alpha_must_be_a_finite_number_of_at_least_1(self, fitted, alpha):
+        model, ds = fitted
+        with pytest.raises(ValueError, match="alpha must be"):
+            retrieve_shortlist(model, ds, 0, 3, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", ["junk", math.nan, True, 0.5],
+                             ids=["string", "nan", "bool", "below-1"])
+    @pytest.mark.parametrize("mode", ["exact", "shortlist"])
+    def test_batch_checks_shortlist_alpha_in_both_modes(self, fitted, mode, alpha):
+        model, ds = fitted
+        with pytest.raises(ValueError, match="shortlist_alpha must be"):
+            batch_retrieve(model, ds, [10, 11], k=3, mode=mode,
+                           shortlist_alpha=alpha)
+
+    def test_numpy_alpha_accepted(self, fitted):
+        model, ds = fitted
+        assert retrieve_shortlist(model, ds, 0, 3, alpha=np.float32(2.0)) == \
+            retrieve_shortlist(model, ds, 0, 3, alpha=2)
 
 
 class TestResultsCsv:
