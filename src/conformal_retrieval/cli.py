@@ -129,10 +129,13 @@ def _bounded(kind, ok, rule: str):
     '''The grammar of one value of the given kind for which ok holds.'''
     @_grammar
     def parse(text: str):
-        value = kind(text)
-        if not ok(value):
-            raise ValueError(f"expected {rule}, got {text!r}")
-        return value
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:  # not a number of that kind at all
+            pass
+        raise ValueError(f"expected {rule}, got {text!r}")
     return parse
 
 

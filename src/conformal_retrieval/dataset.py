@@ -2,8 +2,8 @@
 
 A dataset couples per-space embedding matrices for both sides (queries and
 references), presence masks saying which modalities each instance actually
-has, and a relevance map. Embeddings are 2-D finite float32 values (held
-as float64 in memory) and masks 2-D 0/1 values, each rule shared by file
+has, and a relevance map. Embeddings are 2-D finite float32 values, in
+files and in memory, and masks 2-D 0/1 values, each rule shared by file
 writer, file reader and MultimodalDataset, so a dataset loads back exactly
 as it was saved. Missing modalities are only masked, never zero vectors.
 
@@ -276,9 +276,10 @@ def relevance_from_positions(query_xy, reference_xy, threshold_meters: float) ->
 class MultimodalDataset:
     '''In-memory dataset: embeddings per (modality, space), masks, relevance.
 
-    Embedding dict keys are (modality name, space name); arrays are float64
-    holding float32 values, one row per instance. Masks are bool, columns in
-    the schema's modality order for the matching side.
+    Embedding dict keys are (modality name, space name); arrays are float32
+    and C-ordered, one row per instance, and a loaded file's arrays are
+    read-only views over its bytes. Scoring still runs at float64. Masks are
+    bool, columns in the schema's modality order for the matching side.
     '''
 
     schema: ModalitySchema
@@ -312,13 +313,13 @@ class MultimodalDataset:
                 f"unexpected {sorted(set(embeddings) - expected)}")
         dims = {space.name: space.dim for space in self.schema.spaces}
         checked = {}  # the caller's dict keeps its own arrays
-        for (mod, space_name), arr in embeddings.items():
+        for (mod, space_name), given in embeddings.items():
             where = f"{side} embedding {mod}/{space_name}"
-            arr = _embedding(arr, where)
+            arr = _embedding(given, where)
             shape = (len(mask), dims[space_name])
             if arr.shape != shape:
                 raise DataFormatError(f"{where} has shape {arr.shape}, expected {shape}")
-            checked[(mod, space_name)] = arr.astype(np.float64)
+            checked[(mod, space_name)] = _own_rows(arr, given)
         setattr(self, f"{side}_embeddings", checked)
 
     @property
@@ -331,6 +332,21 @@ class MultimodalDataset:
 
     def fingerprint(self) -> str:
         return self.schema._fingerprint
+
+
+def _own_rows(arr, given) -> np.ndarray:
+    '''arr as C-ordered rows that no caller can write to. A new array that
+    the float32 conversion of given made, or a view over immutable bytes
+    (a loaded file's rows), is kept; anything else is copied once. C order
+    makes a cell score the same bits whether its rows are gathered or not.'''
+    if arr.base is None and arr is not given:
+        return np.ascontiguousarray(arr)
+    root = arr
+    while isinstance(root, np.ndarray):
+        root = root.base
+    if isinstance(root, bytes) and arr.flags.c_contiguous:
+        return arr
+    return np.array(arr, order="C")
 
 
 # ---------------------------------------------------------------------------

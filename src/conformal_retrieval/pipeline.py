@@ -116,6 +116,11 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
     Modality pairs with fewer than two observable calibration scores, or
     with all scores equal, cannot carry a band and are skipped.
 
+    Only the calibration cells the fit keeps are scored, so with a
+    subsample the fit's cost falls with the ratio. Cells are taken in
+    row-major order whichever way they are scored, so a subsample that
+    keeps every cell fits the same bands, bit for bit, as none.
+
     Args:
         dataset: MultimodalDataset with relevance labels.
         calibration_ids: Query indices to calibrate on (no duplicates).
@@ -132,29 +137,35 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
     if np.unique(cal).size != cal.size:
         raise ValueError("duplicate calibration query ids")
     labels = dataset.relevance.matrix()[cal]
-    keep = True
-    if negative_subsample is not None:
+    if negative_subsample is None:
+        # one whole grid: per-query blocks of every cell are 30-40% slower
+        blocks = [(cal, np.arange(dataset.n_references))]
+        labels = labels.ravel()
+    else:
         ratio, seed = negative_subsample
         if not 0.0 <= ratio <= 1.0:
             raise ValueError("negative subsample ratio must lie in [0, 1]")
         rng = np.random.default_rng(seed)
         keep = labels | (rng.random(labels.shape) < ratio)
-
-    refs = np.arange(dataset.n_references)
+        # one block per query, of its kept references only
+        blocks = [(cal[i:i + 1], np.flatnonzero(row)) for i, row in enumerate(keep)]
+        labels = labels[keep]
     first_stage = {}
 
     def scored():
-        # each pair is scored once: its grids fit the band, then feed fusion;
+        # each pair is scored once: its cells fit the band, then feed fusion;
         # keep is one draw per cell for every pair, so a kept cell still
         # fuses every pair observed on it
         for pair in dataset.schema.scoreable_pairs():
-            values, observed = pairwise_score_table(dataset, pair, cal, refs)
-            use = observed & keep
-            theta = values[use]
+            tables = [pairwise_score_table(dataset, pair, queries, refs)
+                      for queries, refs in blocks]
+            values = _cells(grid for grid, _ in tables)
+            observed = _cells(grid for _, grid in tables)
+            theta = values[observed]
             if theta.size < 2 or theta.min() == theta.max():
                 continue
-            first_stage[pair] = band = fit_band_arrays(theta, labels[use])
-            yield band, values, use
+            first_stage[pair] = band = fit_band_arrays(theta, labels[observed])
+            yield band, values, observed
 
     fused, answerable = _fuse_tables(scored(), fuser, labels.shape)
     if not first_stage:
@@ -167,18 +178,26 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
     return CalibratedModel(dataset.fingerprint(), fuser, first_stage, second_stage)
 
 
+def _cells(grids) -> np.ndarray:
+    '''The cells of every grid as one 1-D array, row-major, grid after grid.
+    A single grid is viewed, not copied.'''
+    flat = [grid.ravel() for grid in grids]
+    return flat[0] if len(flat) == 1 else np.concatenate(flat)
+
+
 def _fuse_tables(scored, fuser, shape):
     '''Fused stage-one values for every (query, reference) cell.
 
-    scored yields (band, values, cells) in first-stage order, both grids of
+    scored yields (band, values, cells) in first-stage order, both arrays of
     the given shape, where cells marks the cells the pair contributes to:
-    score_grid passes the observed cells, fit_model the observed cells it
-    kept. Pairs are consumed one at a time, so a lazy iterable never holds
-    every pair's grids at once.
+    score_grid passes (query, reference) grids and their observed cells,
+    fit_model 1-D arrays of the cells it kept and their observed ones. Pairs
+    are consumed one at a time, so a lazy iterable never holds every pair's
+    arrays at once.
 
     Returns:
-        (fused, answerable): float grid with -inf where no pair contributes,
-        and the matching boolean grid.
+        (fused, answerable): float array with -inf where no pair
+        contributes, and the matching boolean array.
     '''
     counts = np.zeros(shape)
     # a probability count / (m + 1) is never negative, so a max from 0 equals

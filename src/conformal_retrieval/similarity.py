@@ -40,6 +40,14 @@ def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray) -> np.ndarr
     return out
 
 
+def _rows(matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    '''The rows of matrix at ids: matrix itself, not a gathered copy, when
+    ids are every row in order.'''
+    if ids.size == len(matrix) and np.array_equal(ids, np.arange(ids.size)):
+        return matrix
+    return matrix[ids]
+
+
 def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> tuple:
     '''Score one modality pair over explicit id lists.
 
@@ -59,8 +67,8 @@ def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> tuple:
         raise ValueError(f"pair ({qmod!r}, {rmod!r}) is not covered by any space")
     query_ids = np.asarray(query_ids, dtype=np.intp)
     reference_ids = np.asarray(reference_ids, dtype=np.intp)
-    q = dataset.query_embeddings[(qmod, space.name)][query_ids]
-    r = dataset.reference_embeddings[(rmod, space.name)][reference_ids]
+    q = _rows(dataset.query_embeddings[(qmod, space.name)], query_ids)
+    r = _rows(dataset.reference_embeddings[(rmod, space.name)], reference_ids)
     values = cosine_table(q, r)
     q_present = dataset.query_mask[query_ids, dataset.schema.query_modalities.index(qmod)]
     r_present = dataset.reference_mask[

