@@ -13,6 +13,7 @@ malformed input is DataFormatError wherever it is read.
 '''
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -22,6 +23,7 @@ import os
 import struct
 import sys
 import tempfile
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,7 @@ __all__ = [
     "ModalitySchema",
     "RelevanceMap",
     "MultimodalDataset",
+    "row_norms",
     "schema_fingerprint",
     "atomic_write_bytes",
     "write_json",
@@ -272,14 +275,17 @@ def relevance_from_positions(query_xy, reference_xy, threshold_meters: float) ->
 # Dataset
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MultimodalDataset:
     '''In-memory dataset: embeddings per (modality, space), masks, relevance.
 
     Embedding dict keys are (modality name, space name); arrays are float32
     and C-ordered, one row per instance, and a loaded file's arrays are
-    read-only views over its bytes. Scoring still runs at float64. Masks are
-    bool, columns in the schema's modality order for the matching side.
+    views over its bytes. Scoring still runs at float64. Masks are bool,
+    columns in the schema's modality order for the matching side. The
+    dataset is frozen, its embedding mappings are read-only views, and
+    every stored array is read-only with no writable alias held by a
+    caller, so reference_norms, built from the rows once, cannot go stale.
     '''
 
     schema: ModalitySchema
@@ -298,8 +304,9 @@ class MultimodalDataset:
             raise DataFormatError("relevance reference count disagrees with embeddings")
 
     def _check_side(self, side):
-        mask = _mask(getattr(self, f"{side}_mask"), f"{side} mask")
-        setattr(self, f"{side}_mask", mask)
+        given = getattr(self, f"{side}_mask")
+        mask = _own_rows(_mask(given, f"{side} mask"), given)
+        object.__setattr__(self, f"{side}_mask", mask)
         mods = getattr(self.schema, f"{side}_modalities")
         if mask.shape[1] != len(mods):
             raise DataFormatError(f"{side} mask must be (n, {len(mods)}), got {mask.shape}")
@@ -320,7 +327,7 @@ class MultimodalDataset:
             if arr.shape != shape:
                 raise DataFormatError(f"{where} has shape {arr.shape}, expected {shape}")
             checked[(mod, space_name)] = _own_rows(arr, given)
-        setattr(self, f"{side}_embeddings", checked)
+        object.__setattr__(self, f"{side}_embeddings", types.MappingProxyType(checked))
 
     @property
     def n_queries(self) -> int:
@@ -333,20 +340,40 @@ class MultimodalDataset:
     def fingerprint(self) -> str:
         return self.schema._fingerprint
 
+    @functools.cached_property
+    def reference_norms(self) -> dict:
+        '''row_norms of every reference embedding, by the same (modality,
+        space) keys, as read-only float64 vectors. Built on first use, never
+        at construction or load.'''
+        norms = {key: row_norms(rows) for key, rows in self.reference_embeddings.items()}
+        for vector in norms.values():
+            vector.setflags(write=False)
+        return norms
+
+
+def row_norms(rows) -> np.ndarray:
+    '''Euclidean norm of each row at float64. Float32 rows are widened in
+    einsum's buffer, not copied, and a row's norm has the same bits whether
+    it is computed alone or in a block of any height.'''
+    return np.sqrt(np.einsum("id,id->i", rows, rows, optimize=False, dtype=np.float64))
+
 
 def _own_rows(arr, given) -> np.ndarray:
-    '''arr as C-ordered rows that no caller can write to. A new array that
-    the float32 conversion of given made, or a view over immutable bytes
+    '''arr as read-only C-ordered rows that no caller can write to. A new
+    array that the conversion of given made, or a view over immutable bytes
     (a loaded file's rows), is kept; anything else is copied once. C order
     makes a cell score the same bits whether its rows are gathered or not.'''
-    if arr.base is None and arr is not given:
-        return np.ascontiguousarray(arr)
     root = arr
     while isinstance(root, np.ndarray):
         root = root.base
-    if isinstance(root, bytes) and arr.flags.c_contiguous:
-        return arr
-    return np.array(arr, order="C")
+    if arr.base is None and arr is not given:
+        rows = np.ascontiguousarray(arr)
+    elif isinstance(root, bytes) and arr.flags.c_contiguous:
+        rows = arr
+    else:
+        rows = np.array(arr, order="C")
+    rows.setflags(write=False)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,13 @@ class RetrievalResult:
 
 def _top(reference_ids, scores, k):
     '''Positions of the best k scores (all when k is None): score
-    descending, then the smaller reference id.'''
-    order = np.lexsort((reference_ids, -scores))
-    return order if k is None else order[:k]
+    descending, then the smaller reference id. Below the full size only the
+    scores at or above the k-th largest, ties included, are sorted.'''
+    if k is None or k >= scores.size:
+        return np.lexsort((reference_ids, -scores))
+    kth = np.partition(scores, scores.size - k)[scores.size - k]
+    cand = np.flatnonzero(scores >= kth)
+    return cand[np.lexsort((reference_ids[cand], -scores[cand]))[:k]]
 
 
 def _check_count(value, name: str):
@@ -112,13 +116,14 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
     '''Rank only a shortlist of candidates gathered per modality pair.
 
     Each modality pair observable for the query nominates its top
-    ceil(alpha * k) references by raw score; the union is then scored and
-    ranked exactly like retrieve. With a budget covering every reference
-    the result is identical to exact retrieval; smaller budgets trade
-    recall for speed. References with no observable pair at all stay out
-    of the shortlist and are appended flagged, in index order, only when k
-    exceeds the answerable count, so every list has min(k, n_references)
-    entries.
+    ceil(alpha * k) references by raw score, among those that observe the
+    pair (raw scores cover every reference, so the pick costs one cosine
+    row per pair); the union is then scored and ranked exactly like
+    retrieve. With a budget covering every reference the result is
+    identical to exact retrieval; smaller budgets trade recall for speed.
+    References with no observable pair at all stay out of the shortlist
+    and are appended flagged, in index order, only when k exceeds the
+    answerable count, so every list has min(k, n_references) entries.
 
     Args:
         model: Fitted CalibratedModel.
@@ -134,21 +139,23 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
     # no pair has more candidates than references; min keeps a huge k off floats
     budget = math.ceil(alpha * min(k, dataset.n_references))
     qmods = dataset.schema.query_modalities
-    rmods = dataset.schema.reference_modalities
+    refs = np.arange(dataset.n_references)
     union = np.zeros(dataset.n_references, dtype=bool)
     for qmod, rmod in model.first_stage:
         if not dataset.query_mask[query_index, qmods.index(qmod)]:
             continue
-        cand = np.flatnonzero(dataset.reference_mask[:, rmods.index(rmod)])
-        if cand.size == 0:
-            continue
-        values, _ = pairwise_score_table(dataset, (qmod, rmod), [query_index], cand)
-        union[cand[_top(cand, values[0], budget)]] = True
+        # every reference, ungathered; no cosine is -inf, so capping the
+        # budget at the observed count nominates observed ones only
+        values, observed = pairwise_score_table(dataset, (qmod, rmod), [query_index], refs)
+        scores = np.where(observed[0], values[0], -np.inf)
+        n_observed = np.count_nonzero(observed)
+        if n_observed:
+            union[_top(refs, scores, min(budget, n_observed))] = True
     entries = []
     if union.any():
-        refs = np.flatnonzero(union)
-        probs, fused, answerable = score_grid(model, dataset, [query_index], refs)
-        entries = _rank_rows(refs, fused[0], probs[0], answerable[0], k)
+        picked = np.flatnonzero(union)
+        probs, fused, answerable = score_grid(model, dataset, [query_index], picked)
+        entries = _rank_rows(picked, fused[0], probs[0], answerable[0], k)
     # short of k only when fewer than k are answerable; the union then holds them all
     tail = np.flatnonzero(~union)[:k - len(entries)]
     entries.extend((int(r), 0.0, True) for r in tail)

@@ -7,13 +7,16 @@ downstream code must branch on the flag, never on their values.
 
 import numpy as np
 
+from .dataset import row_norms
+
 __all__ = [
     "cosine_table",
     "pairwise_score_table",
 ]
 
 
-def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray) -> np.ndarray:
+def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray,
+                 reference_norms=None) -> np.ndarray:
     '''Cosine similarity of every row pair, clamped to [-1, 1].
 
     Rows with zero norm score 0 against everything. The contraction goes
@@ -23,18 +26,37 @@ def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray) -> np.ndarr
     retrieval relies on that to match exact retrieval, and so does the
     per-cell test oracle. BLAS matmul is faster but its reduction order
     follows the block shape; a fixed-shape tiled GEMM is the way to get its
-    speed without losing the invariance.
+    speed without losing the invariance. The invariance is tested up to 256
+    columns and holds up to 8192, numpy's buffer size; past it einsum
+    splits each reduction, and a cell's last bit can follow the block shape.
+
+    Only the query block is widened to a float64 copy. Float32 reference
+    rows are widened inside einsum's buffer, which gives the bits a float64
+    copy would, and the contraction keeps the reference row outermost, so
+    each reference row is widened once whatever the query count; with the
+    query row outermost, every query row would widen the whole reference
+    block again.
+
+    Args:
+        query_rows / reference_rows: 2-D blocks with the same column count.
+        reference_norms: row_norms(reference_rows), when the caller keeps
+            them (MultimodalDataset.reference_norms); computed here when
+            None.
     '''
     a = np.asarray(query_rows, dtype=np.float64)
-    b = np.asarray(reference_rows, dtype=np.float64)
+    b = np.asarray(reference_rows)
+    if b.dtype != np.float32:
+        b = b.astype(np.float64, copy=False)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(
             f"expected matching 2-D blocks, got {a.shape} and {b.shape}")
-    dots = np.einsum("id,jd->ij", a, b, optimize=False)
-    a_norm = np.sqrt(np.einsum("id,id->i", a, a, optimize=False))
-    b_norm = np.sqrt(np.einsum("id,id->i", b, b, optimize=False))
-    denom = a_norm[:, None] * b_norm[None, :]
-    out = np.zeros_like(dots)
+    b_norm = row_norms(b) if reference_norms is None else np.asarray(reference_norms)
+    if b_norm.shape != (len(b),):
+        raise ValueError(
+            f"expected {len(b)} reference norms, got shape {b_norm.shape}")
+    dots = np.einsum("jd,id->ji", b, a, optimize=False, dtype=np.float64).T
+    denom = row_norms(a)[:, None] * b_norm[None, :]
+    out = np.zeros(dots.shape)  # C order; the division reads the transpose
     np.divide(dots, denom, out=out, where=denom > 0.0)
     np.clip(out, -1.0, 1.0, out=out)
     return out
@@ -67,9 +89,17 @@ def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> tuple:
         raise ValueError(f"pair ({qmod!r}, {rmod!r}) is not covered by any space")
     query_ids = np.asarray(query_ids, dtype=np.intp)
     reference_ids = np.asarray(reference_ids, dtype=np.intp)
+    key = (rmod, space.name)
     q = _rows(dataset.query_embeddings[(qmod, space.name)], query_ids)
-    r = _rows(dataset.reference_embeddings[(rmod, space.name)], reference_ids)
-    values = cosine_table(q, r)
+    stored = dataset.reference_embeddings[key]
+    r = _rows(stored, reference_ids)
+    if r is stored:
+        values = cosine_table(q, r, dataset.reference_norms[key])
+    else:
+        # a gather is a fresh copy anyway, and a subsampled fit's gathers are
+        # small: widening one costs less than einsum's buffered cast, and its
+        # norms less than building every stored row's
+        values = cosine_table(q, r.astype(np.float64))
     q_present = dataset.query_mask[query_ids, dataset.schema.query_modalities.index(qmod)]
     r_present = dataset.reference_mask[
         reference_ids, dataset.schema.reference_modalities.index(rmod)]

@@ -7,6 +7,7 @@ followed by a row-major payload. A 1x2 float32 matrix must serialize to
 exactly 32 bytes.
 '''
 
+import dataclasses
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from conformal_retrieval.dataset import (
     read_positions,
     read_relevance_pairs,
     relevance_from_positions,
+    row_norms,
     save_dataset,
     schema_fingerprint,
     split_queries,
@@ -413,6 +415,20 @@ class TestDatasetValidation:
         assert kept.dtype == np.float32 and kept.flags.c_contiguous
         assert kept.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("side", ["query_mask", "reference_mask"])
+    def test_later_writes_to_a_callers_bool_mask_do_not_reach_it(self, side):
+        ds = tiny_dataset()
+        masks = {"query_mask": np.array(ds.query_mask),
+                 "reference_mask": np.array(ds.reference_mask)}
+        given = masks[side]
+        want = given.copy()
+        built = MultimodalDataset(ds.schema, ds.query_embeddings,
+                                  ds.reference_embeddings, relevance=ds.relevance,
+                                  **masks)
+        assert getattr(built, side) is not given
+        given[:] = ~given
+        assert np.array_equal(getattr(built, side), want)
+
     def test_missing_embedding_key_rejected(self):
         ds = tiny_dataset()
         bad = dict(ds.query_embeddings)
@@ -454,6 +470,65 @@ class TestDatasetValidation:
                 ds.schema, ds.query_embeddings, bad,
                 ds.query_mask, ds.reference_mask, ds.relevance,
             )
+
+
+def random_dataset(n_references=40, seed=0):
+    '''tiny_schema with random float64 rows of differing scale, one
+    zero reference row and a random reference mask.'''
+    rng = np.random.default_rng(seed)
+
+    def rows(n, dim):
+        out = rng.standard_normal((n, dim)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+        out[0] = 0.0
+        return out
+
+    return MultimodalDataset(
+        tiny_schema(),
+        {("a", "s1"): rows(3, 3), ("b", "s2"): rows(3, 2)},
+        {("a", "s1"): rows(n_references, 3), ("b", "s2"): rows(n_references, 2)},
+        np.ones((3, 2), dtype=bool),
+        rng.random((n_references, 2)) < 0.7,
+        RelevanceMap(3, n_references, (frozenset(),) * 3))
+
+
+class TestImmutability:
+    '''A dataset's arrays are read-only, so the reference norms it keeps
+    always match its rows.'''
+
+    @pytest.fixture(params=["built", "loaded"])
+    def ds(self, request, tmp_path):
+        ds = random_dataset()
+        if request.param == "loaded":
+            save_dataset(ds, tmp_path / "data")
+            ds = load_dataset(tmp_path / "data")
+        return ds
+
+    def test_stored_arrays_refuse_writes(self, ds):
+        arrays = [*ds.query_embeddings.values(), *ds.reference_embeddings.values(),
+                  ds.query_mask, ds.reference_mask, *ds.reference_norms.values()]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_fields_and_embedding_mappings_refuse_writes(self, ds):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.reference_mask = np.ones_like(ds.reference_mask)
+        for embeddings in (ds.query_embeddings, ds.reference_embeddings):
+            key = next(iter(embeddings))
+            with pytest.raises(TypeError):
+                embeddings[key] = np.zeros_like(embeddings[key])
+
+    def test_reference_norms_are_the_norms_of_one_row_blocks(self, ds):
+        assert ds.reference_norms.keys() == ds.reference_embeddings.keys()
+        for key, rows in ds.reference_embeddings.items():
+            want = np.concatenate([row_norms(rows[i:i + 1]) for i in range(len(rows))])
+            assert ds.reference_norms[key].dtype == np.float64
+            assert ds.reference_norms[key].tobytes() == want.tobytes()
+
+    def test_reference_norms_are_built_on_first_use(self, ds):
+        assert "reference_norms" not in vars(ds)
+        norms = ds.reference_norms
+        assert ds.reference_norms is norms
 
 
 class TestManifestIO:

@@ -6,17 +6,21 @@ test_pipeline: with calibration queries {0, 1} the final probabilities are
 q0 -> [0.6, 0.0] and q1 -> [0.0, 0.8] over the two references.
 '''
 
+import dataclasses
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import conformal_retrieval.dataset as dataset_module
+import conformal_retrieval.retrieval as retrieval_module
 from conformal_retrieval.dataset import DataFormatError, MultimodalDataset
 from conformal_retrieval.pipeline import fit_model, score_grid
 from conformal_retrieval.retrieval import (
     RetrievalResult,
+    _top,
     batch_retrieve,
     heuristic_baseline,
     read_results_csv,
@@ -24,6 +28,7 @@ from conformal_retrieval.retrieval import (
     retrieve_shortlist,
     write_results_csv,
 )
+from conformal_retrieval.similarity import pairwise_score_table
 from conformal_retrieval.synthgen import SynthConfig, SynthSpace, generate
 
 
@@ -48,6 +53,25 @@ def synth_dataset(seed=42, **overrides):
     )
     base.update(overrides)
     return generate(SynthConfig(**base))
+
+
+class TestTop:
+    def test_matches_a_full_lexsort(self):
+        # few distinct values, so ties reach across the k-th place; +-0.0
+        # compare equal and -inf sinks; ids are a shuffled subset
+        rng = np.random.default_rng(17)
+        pool = np.array([-np.inf, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
+        for _ in range(400):
+            size = int(rng.integers(1, 40))
+            scores = rng.choice(pool[:int(rng.integers(1, pool.size + 1))], size)
+            ids = np.sort(rng.choice(1000, size, replace=False))
+            if rng.random() < 0.5:
+                ids = ids[rng.permutation(size)]
+            want = np.lexsort((ids, -scores))
+            assert np.array_equal(_top(ids, scores, None), want)
+            for k in (1, int(rng.integers(1, size + 1)), size, size + 3):
+                got = _top(ids, scores, k)
+                assert np.array_equal(got, want[:k]), (scores, ids, k)
 
 
 class TestRetrieve:
@@ -110,6 +134,42 @@ class TestShortlist:
                 exact = retrieve(model, ds, qi, k=k)
                 fast = retrieve_shortlist(model, ds, qi, k=k, alpha=4.0)
                 assert fast.ranked == exact.ranked
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.5])
+    def test_union_is_each_pairs_best_observed_references(self, alpha,
+                                                          monkeypatch):
+        # in-test oracle: each pair's budget best among the references it
+        # observes, gathered and sorted in full, then ranked like retrieve
+        ds = synth_dataset(seed=5, reference_dropout={"a": 0.6, "b": 0.5})
+        model = fit_model(ds, list(range(12)))
+        scored = []
+
+        def recording(model, dataset, query_ids, reference_ids):
+            scored.append(reference_ids.tolist())
+            return score_grid(model, dataset, query_ids, reference_ids)
+
+        monkeypatch.setattr(retrieval_module, "score_grid", recording)
+        qmods = ds.schema.query_modalities
+        rmods = ds.schema.reference_modalities
+        for k in (1, 3, 8):
+            budget = math.ceil(alpha * k)
+            for qi in range(12, 30):
+                union = set()
+                for qmod, rmod in model.first_stage:
+                    if not ds.query_mask[qi, qmods.index(qmod)]:
+                        continue
+                    cand = np.flatnonzero(ds.reference_mask[:, rmods.index(rmod)])
+                    values, _ = pairwise_score_table(ds, (qmod, rmod), [qi], cand)
+                    union.update(cand[np.lexsort((cand, -values[0]))[:budget]].tolist())
+                refs = np.array(sorted(union))
+                probs, fused, answerable = score_grid(model, ds, [qi], refs)
+                order = np.lexsort((refs, -fused[0]))[:k]
+                want = [(int(refs[j]), float(probs[0, j]), False) for j in order]
+                scored.clear()
+                got = retrieve_shortlist(model, ds, qi, k=k, alpha=alpha).ranked
+                assert scored == [refs.tolist()]
+                assert got[:len(want)] == want
+                assert all(flag for _, _, flag in got[len(want):])
 
     def test_k_past_the_float_range(self):
         ds = synth_dataset()
@@ -217,6 +277,21 @@ class TestBatchRetrieve:
         threaded = batch_retrieve(model, ds, k=5, workers=4)
         assert serial == threaded
 
+    @pytest.mark.parametrize("mode", ["exact", "shortlist"])
+    def test_threads_building_the_norms_give_the_serial_results(self, mode):
+        ds = synth_dataset()
+        model = fit_model(ds, list(range(12)))
+        serial = batch_retrieve(model, ds, k=5, mode=mode)
+        fresh = dataclasses.replace(ds)  # same rows, reference norms not built
+        assert "reference_norms" not in vars(fresh)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = batch_retrieve(model, fresh, k=5, mode=mode, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
     def test_shortlist_mode(self):
         ds = synth_dataset()
         model = fit_model(ds, list(range(12)))
@@ -244,12 +319,21 @@ class TestBatchRetrieve:
         # a dataset may store zero rows for absent modalities; their cells
         # are unobserved, so scoring them is not worth a warning
         ds = synth_dataset()
-        for embeddings, mods, mask in (
-                (ds.query_embeddings, ds.schema.query_modalities, ds.query_mask),
-                (ds.reference_embeddings, ds.schema.reference_modalities,
-                 ds.reference_mask)):
-            for (mod, _), rows in embeddings.items():
-                rows[~mask[:, mods.index(mod)]] = 0.0
+
+        def zero_filled(embeddings, mods, mask):
+            out = {}
+            for (mod, space), rows in embeddings.items():
+                out[(mod, space)] = rows.copy()
+                out[(mod, space)][~mask[:, mods.index(mod)]] = 0.0
+            return out
+
+        ds = dataclasses.replace(
+            ds,
+            query_embeddings=zero_filled(ds.query_embeddings,
+                                         ds.schema.query_modalities, ds.query_mask),
+            reference_embeddings=zero_filled(ds.reference_embeddings,
+                                             ds.schema.reference_modalities,
+                                             ds.reference_mask))
         model = fit_model(ds, list(range(10)))
         with caplog.at_level(logging.DEBUG):
             for mode in ("exact", "shortlist"):

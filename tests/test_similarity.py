@@ -6,7 +6,9 @@ within a tolerance: downstream calibration counts strictly-less
 comparisons, so a single flipped ulp could move a probability.
 '''
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +69,64 @@ class TestCosineSimilarity:
             cosine_table(np.ones((1, 2)), np.ones((1, 3)))
         with pytest.raises(ValueError):
             cosine_table(np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match="reference norms"):
+            cosine_table(np.ones((1, 2)), np.ones((3, 2)), np.ones(2))
+
+
+def widened_cosine(q, r):
+    '''The float64 route: both blocks copied to float64 before one
+    query-outer einsum, norms from the copies.'''
+    a = np.asarray(q, dtype=np.float64)
+    b = np.asarray(r, dtype=np.float64)
+    dots = np.einsum("id,jd->ij", a, b, optimize=False)
+    a_norm = np.sqrt(np.einsum("id,id->i", a, a, optimize=False))
+    b_norm = np.sqrt(np.einsum("id,id->i", b, b, optimize=False))
+    denom = a_norm[:, None] * b_norm[None, :]
+    out = np.zeros_like(dots)
+    np.divide(dots, denom, out=out, where=denom > 0.0)
+    return np.clip(out, -1.0, 1.0)
+
+
+class TestFloat32References:
+    '''Float32 reference rows are widened inside einsum, not copied; every
+    cell keeps the bits of the float64 route.'''
+
+    @pytest.mark.parametrize("n_queries, n_refs, dim",
+                             list(itertools.product((1, 3, 64), (1, 5, 1000),
+                                                    (3, 32, 256))))
+    def test_bits_equal_the_widened_route(self, n_queries, n_refs, dim):
+        rng = np.random.default_rng(n_queries * 10_000 + n_refs * 10 + dim)
+        q = (rng.standard_normal((n_queries, dim)) * 3.0).astype(np.float32)
+        r = (rng.standard_normal((n_refs, dim)) * 0.2).astype(np.float32)
+        q[::2] *= np.float32(1e-3)  # rows of differing scale
+        if n_queries > 1:  # a zero row on each side, beside nonzero ones
+            q[-1] = 0.0
+        if n_refs > 1:
+            r[0] = 0.0
+        want = widened_cosine(q, r).tobytes()
+        r64 = r.astype(np.float64)
+        norms = np.sqrt(np.einsum("id,id->i", r64, r64, optimize=False))
+        assert cosine_table(q, r).tobytes() == want
+        assert cosine_table(q, r, norms).tobytes() == want
+        assert cosine_table(q, r64).tobytes() == want
+        assert cosine_table(q.astype(np.float64), r).tobytes() == want
+
+    def test_one_call_allocates_less_than_a_float64_copy(self):
+        # the stored float32 rows are scored in place: a float64 copy of the
+        # reference block (n x dim x 8 bytes) would show in the peak
+        ds = generate(SynthConfig(4, 2000, ("a",), ("a",),
+                                  (SynthSpace("s", 128, noise_sigma=0.3),), seed=5))
+        n, dim = 2000, 128
+        pair, refs = ("a", "a"), np.arange(n)
+        pairwise_score_table(ds, pair, [0], refs)  # builds the cached norms
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            pairwise_score_table(ds, pair, [1], refs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * dim * 8
 
 
 class TestPairwiseScoreTable:
