@@ -122,16 +122,18 @@ def band_set(band: PredictionBand, theta, epsilon: float) -> set:
 
     The threshold is the ceil((m+1)(1-epsilon))-th smallest nonconformity
     score; an index past the end means an unbounded threshold (both labels),
-    an index of zero or less means the empty set.
+    an index of zero or less means the empty set. NaN is refused.
     '''
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
+    theta_tilde = normalize_score(band, theta)
+    if math.isnan(theta_tilde):
+        raise ValueError("raw scores must not be NaN")
     m = band.size
     index = math.ceil((m + 1) * (1.0 - epsilon))
     if index <= 0:
         return set()
     alpha = math.inf if index > m else float(band.sorted_gamma[index - 1])
-    theta_tilde = normalize_score(band, theta)
     return {label for label in (0, 1) if abs(label - theta_tilde) <= alpha}
 
 

@@ -30,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "DataFormatError",
+    "check_count",
     "SharedSpace",
     "ModalitySchema",
     "RelevanceMap",
@@ -68,6 +69,14 @@ _MATRIX_HEADER = struct.Struct("<4sHHQQ")
 
 class DataFormatError(ValueError):
     '''A file, manifest, or schema does not match the published format.'''
+
+
+def check_count(value, name: str):
+    '''value itself; ValueError naming it unless it is an integer of at
+    least 1 that is not a bool.'''
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return value
 
 
 def atomic_write_bytes(path, data: bytes):

@@ -143,8 +143,9 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
         labels = labels.ravel()
     else:
         ratio, seed = negative_subsample
-        if not 0.0 <= ratio <= 1.0:
-            raise ValueError("negative subsample ratio must lie in [0, 1]")
+        if isinstance(ratio, (bool, np.bool_)) or not 0.0 <= ratio <= 1.0:
+            raise ValueError(
+                f"negative subsample ratio must be a number in [0, 1], got {ratio!r}")
         rng = np.random.default_rng(seed)
         keep = labels | (rng.random(labels.shape) < ratio)
         # one block per query, of its kept references only
@@ -172,8 +173,7 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
         raise ValueError(
             "no fittable modality pairs: every pair had fewer than two "
             "observable calibration scores or a degenerate score range")
-    if np.count_nonzero(answerable) < 2:
-        raise ValueError("second stage needs at least two fused calibration scores")
+    # every fitted pair observed at least two kept cells, all answerable
     second_stage = fit_band_arrays(fused[answerable], labels[answerable])
     return CalibratedModel(dataset.fingerprint(), fuser, first_stage, second_stage)
 

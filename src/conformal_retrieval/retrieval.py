@@ -5,8 +5,10 @@ second stage is a monotone step function of it: sorting by the fused value
 refines probability ties without ever contradicting the probabilities.
 Ties break toward the smaller reference index. Combinations with no
 observable modality pair sink to the tail with probability 0 and an
-unanswerable flag. One ordering helper serves exact retrieval, the
-shortlist's per-pair candidate pick and the raw-score baseline.
+unanswerable flag. Exact and shortlist retrieval differ only in their
+candidate set, which one score_grid call scores and one ranking orders.
+One ordering helper serves that ranking, the shortlist's per-pair
+candidate pick and the raw-score baseline.
 '''
 
 import math
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataFormatError, read_csv, write_csv
+from .dataset import DataFormatError, check_count, read_csv, write_csv
 from .pipeline import check_compatible, score_grid, validated_ids
 from .similarity import pairwise_score_table
 
@@ -50,21 +52,12 @@ class RetrievalResult:
 
 def _top(reference_ids, scores, k):
     '''Positions of the best k scores (all when k is None): score
-    descending, then the smaller reference id. Below the full size only the
-    scores at or above the k-th largest, ties included, are sorted.'''
-    if k is None or k >= scores.size:
-        return np.lexsort((reference_ids, -scores))
+    descending, then the smaller reference id. Only the scores at or above
+    the k-th largest, ties included, are sorted.'''
+    k = scores.size if k is None else min(k, scores.size)
     kth = np.partition(scores, scores.size - k)[scores.size - k]
     cand = np.flatnonzero(scores >= kth)
     return cand[np.lexsort((reference_ids[cand], -scores[cand]))[:k]]
-
-
-def _check_count(value, name: str):
-    '''value itself; ValueError naming it unless it is an integer of at
-    least 1 that is not a bool.'''
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-    return value
 
 
 def _check_alpha(value, name: str):
@@ -82,7 +75,7 @@ def check_k(k, required=False):
     a bool, or None where k is optional.'''
     if k is None and not required:
         return k
-    return _check_count(k, "k")
+    return check_count(k, "k")
 
 
 def _rank_rows(reference_ids, fused_row, prob_row, answerable_row, k):
@@ -90,6 +83,17 @@ def _rank_rows(reference_ids, fused_row, prob_row, answerable_row, k):
         (int(reference_ids[j]), float(prob_row[j]), bool(~answerable_row[j]))
         for j in _top(reference_ids, fused_row, k)
     ]
+
+
+def _ranked(model, dataset, query_index, reference_ids, k) -> RetrievalResult:
+    '''The best k of the candidate references (every one when None) for one
+    query, scored by one score_grid call.'''
+    probs, fused, answerable = score_grid(model, dataset, [query_index], reference_ids)
+    if reference_ids is None:
+        reference_ids = np.arange(dataset.n_references)
+    return RetrievalResult(
+        int(query_index),
+        _rank_rows(reference_ids, fused[0], probs[0], answerable[0], k))
 
 
 def retrieve(model, dataset, query_index: int, k=None) -> RetrievalResult:
@@ -105,10 +109,7 @@ def retrieve(model, dataset, query_index: int, k=None) -> RetrievalResult:
         RetrievalResult with probabilities non-increasing down the list.
     '''
     check_k(k)
-    probs, fused, answerable = score_grid(model, dataset, [query_index])
-    refs = np.arange(dataset.n_references)
-    return RetrievalResult(
-        int(query_index), _rank_rows(refs, fused[0], probs[0], answerable[0], k))
+    return _ranked(model, dataset, query_index, None, k)
 
 
 def retrieve_shortlist(model, dataset, query_index: int, k: int,
@@ -122,8 +123,8 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
     retrieve. With a budget covering every reference the result is
     identical to exact retrieval; smaller budgets trade recall for speed.
     References with no observable pair at all stay out of the shortlist
-    and are appended flagged, in index order, only when k exceeds the
-    answerable count, so every list has min(k, n_references) entries.
+    and join it, in index order, only when k exceeds the answerable count,
+    so every list has min(k, n_references) entries and they rank flagged.
 
     Args:
         model: Fitted CalibratedModel.
@@ -151,15 +152,12 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
         n_observed = np.count_nonzero(observed)
         if n_observed:
             union[_top(refs, scores, min(budget, n_observed))] = True
-    entries = []
-    if union.any():
-        picked = np.flatnonzero(union)
-        probs, fused, answerable = score_grid(model, dataset, [query_index], picked)
-        entries = _rank_rows(picked, fused[0], probs[0], answerable[0], k)
-    # short of k only when fewer than k are answerable; the union then holds them all
-    tail = np.flatnonzero(~union)[:k - len(entries)]
-    entries.extend((int(r), 0.0, True) for r in tail)
-    return RetrievalResult(int(query_index), entries)
+    # short of k only when fewer than k are answerable: the union then holds
+    # them all, and the first unpicked ones, all unanswerable, fill it up; the
+    # count is a Python int so that a huge k does not overflow
+    short = k - int(np.count_nonzero(union))
+    union[np.flatnonzero(~union)[:max(short, 0)]] = True
+    return _ranked(model, dataset, query_index, np.flatnonzero(union), k)
 
 
 def batch_retrieve(model, dataset, query_ids=None, k=None, mode: str = "exact",
@@ -184,16 +182,15 @@ def batch_retrieve(model, dataset, query_ids=None, k=None, mode: str = "exact",
     '''
     if mode not in ("exact", "shortlist"):
         raise ValueError(f"unknown retrieval mode {mode!r}")
-    _check_count(workers, "workers")
+    check_count(workers, "workers")
     _check_alpha(shortlist_alpha, "shortlist_alpha")
     check_k(k, required=mode == "shortlist")
     ids = validated_ids(query_ids, dataset.n_queries, "query").tolist()
-    if mode == "shortlist":
-        def job(qi):
+
+    def job(qi):
+        if mode == "shortlist":
             return retrieve_shortlist(model, dataset, qi, k, shortlist_alpha)
-    else:
-        def job(qi):
-            return retrieve(model, dataset, qi, k)
+        return retrieve(model, dataset, qi, k)
 
     if workers == 1:
         return [job(qi) for qi in ids]

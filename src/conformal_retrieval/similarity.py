@@ -26,8 +26,8 @@ def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray,
     retrieval relies on that to match exact retrieval, and so does the
     per-cell test oracle. BLAS matmul is faster but its reduction order
     follows the block shape; a fixed-shape tiled GEMM is the way to get its
-    speed without losing the invariance. The invariance is tested up to 256
-    columns and holds up to 8192, numpy's buffer size; past it einsum
+    speed without losing the invariance. The invariance holds up to 8192
+    columns, numpy's buffer size, and is tested there; past it einsum
     splits each reduction, and a cell's last bit can follow the block shape.
 
     Only the query block is widened to a float64 copy. Float32 reference

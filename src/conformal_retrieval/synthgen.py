@@ -19,6 +19,7 @@ from .dataset import (
     RelevanceMap,
     SharedSpace,
     apply_modality_dropout,
+    check_count,
 )
 
 __all__ = ["SynthSpace", "SynthConfig", "generate"]
@@ -60,11 +61,9 @@ class SynthConfig:
 
 
 def _validate(config: SynthConfig):
-    if config.n_queries < 1 or config.n_references < 1:
-        raise ValueError("n_queries and n_references must be positive")
-    if config.latent_dim < 1:
-        raise ValueError("latent_dim must be >= 1")
-    if not 1 <= config.relevant_per_query <= config.n_references:
+    for name in ("n_queries", "n_references", "latent_dim", "relevant_per_query"):
+        check_count(getattr(config, name), name)
+    if config.relevant_per_query > config.n_references:
         raise ValueError("relevant_per_query must lie in [1, n_references]")
     for space in config.spaces:
         if not 0 <= space.noise_sigma < math.inf:

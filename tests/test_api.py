@@ -141,6 +141,14 @@ def test_csv_is_read_and_text_written_in_one_place_each():
                                                    "dataset.write_json"]
 
 
+def test_results_are_built_in_three_places():
+    # exact and shortlist retrieval share _ranked; the reader and the
+    # raw-score baseline build their own
+    assert callers(None, {"RetrievalResult"}) == [
+        "retrieval._ranked", "retrieval._results_from_rows",
+        "retrieval.heuristic_baseline"]
+
+
 def test_flag_values_are_split_in_one_place():
     tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
     splitters = {"split", "rsplit", "partition", "rpartition"}

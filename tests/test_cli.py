@@ -3,6 +3,7 @@ Command-line interface tests, run in-process through main(argv).
 '''
 
 import json
+import math
 import struct
 import warnings
 
@@ -191,6 +192,26 @@ def damage_model(**repack):
     return damage
 
 
+def damage_payload(edit):
+    '''A model whose float64 payload, as a list, is replaced by edit(values).'''
+    def damage(data, model):
+        blob = model.read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", blob, 8)
+        start = 16 + meta_len + -(16 + meta_len) % 8
+        values = np.frombuffer(blob, "<f8", offset=start).tolist()
+        model.write_bytes(blob[:start] + np.array(edit(values), "<f8").tobytes())
+    return damage
+
+
+def one_score_first_band(doc):
+    '''Sizes that leave the first band one score and hand the rest of its
+    scores to the second stage, so the payload length still agrees.'''
+    first = doc["first_stage"][0]
+    doc["second_stage"]["size"] += first["size"] - 1
+    first["size"] = 1
+    return doc
+
+
 def damage_manifest(mutate):
     def damage(data, model):
         manifest = data / "manifest.json"
@@ -239,11 +260,20 @@ class TestMalformedInputs:
         ("calibrate", lambda data, model: write_mask_file(
             data / "query_mask.msk", np.ones((30, 3), dtype=bool)),
          "query mask must be"),
+        ("calibrate", damage_manifest(lambda m: set_in(m, ["spaces", 0, "dim"], 0)),
+         "dim must be >= 1"),
+        ("inspect", damage_model(edit=one_score_first_band),
+         "a band needs at least 2 nonconformity scores"),
+        ("inspect", damage_payload(lambda values: values[:-1] + [math.nan]),
+         "nonconformity scores must be finite"),
+        ("inspect", damage_payload(lambda values: [values[0]] * 2 + values[2:]),
+         "theta_min < theta_max"),
     ], ids=["model-padding", "model-empty-fingerprint", "pair-space-key-without-colon",
             "space-entry-not-an-object", "space-covers-unknown-reference-modality",
             "repeated-reference-modality", "no-reference-modalities",
             "relevance-query-out-of-range", "nan-position", "position-rows-disagree",
-            "mask-column-count"])
+            "mask-column-count", "zero-space-dim", "band-with-one-score",
+            "nan-band-score", "empty-band-range"])
     def test_damaged_input_is_exit_2(self, pipeline_dirs, tmp_path, capsys,
                                      command, damage, message):
         data, model, _ = pipeline_dirs
@@ -254,6 +284,7 @@ class TestMalformedInputs:
                           "--split-out", str(split)],
             "retrieve": ["retrieve", "--data", str(data), "--model", str(model),
                          "--k", "3", "--out", str(out)],
+            "inspect": ["inspect", "--model", str(model)],
         }[command]
         capsys.readouterr()
         assert main(argv) == 2
@@ -382,6 +413,14 @@ class TestCalibrate:
         assert main(["calibrate", "--data", str(data), "--out", str(out),
                      "--fuser", "max", "--negative-subsample", "0.5:9"]) == 0
         assert load_model(out).fuser.value == "max"
+
+    def test_empty_subsample_is_no_subsample(self, tmp_path, pipeline_dirs):
+        data, model, _ = pipeline_dirs
+        out = tmp_path / "m2.bin"
+        assert main(["calibrate", "--data", str(data), "--out", str(out),
+                     "--cal-fraction", "0.4", "--seed", "5",
+                     "--negative-subsample", ""]) == 0
+        assert out.read_bytes() == model.read_bytes()
 
     def test_missing_data_is_exit_2(self, tmp_path):
         assert main(["calibrate", "--data", str(tmp_path / "nope"),
@@ -658,6 +697,8 @@ class TestUsageErrors:
         ("synth", ["--space", "name=s,dim=4,offset=x"]),
         ("synth", ["--space", "name=s,dim=4", "--queries", "abc"]),
         ("calibrate", ["--negative-subsample", "0.5:x"]),
+        ("synth", ["--space", "name=s,dim=4", "--query-modalities", ","]),
+        ("retrieve", ["--queries", ","]),
     ], ids=["dropout-key-twice", "reference-dropout-key-twice",
             "space-modality-twice", "dropout-without-probability",
             "baseline-without-reference-modality", "subsample-without-seed",
@@ -671,7 +712,8 @@ class TestUsageErrors:
             "zero-space-dim", "nan-space-sigma", "negative-space-sigma",
             "infinite-space-offset", "non-number-space-dim",
             "non-number-space-sigma", "non-number-space-offset",
-            "non-number-queries", "non-number-subsample-seed"])
+            "non-number-queries", "non-number-subsample-seed",
+            "no-query-modalities", "no-query-ids"])
     def test_bad_flag_value_is_exit_1(self, pipeline_dirs, tmp_path, capsys,
                                       command, flags):
         data, model, _ = pipeline_dirs

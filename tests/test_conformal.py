@@ -138,6 +138,12 @@ class TestBandSet:
         with pytest.raises(ValueError):
             band_set(band, 0.5, 1.5)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+    def test_nan_refused(self, epsilon):
+        # the message conformal_probability refuses NaN with
+        with pytest.raises(ValueError, match="raw scores must not be NaN"):
+            band_set(self.ladder_band(), math.nan, epsilon)
+
     def test_nested_in_epsilon(self):
         '''Growing epsilon can only shrink the band.'''
         rng = np.random.default_rng(42)

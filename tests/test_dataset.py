@@ -225,6 +225,29 @@ class TestCsv:
             read_csv(path, self.COLUMNS)
 
 
+class TestRelevanceMap:
+    @pytest.mark.parametrize("n_queries, relevant, message", [
+        pytest.param(3, ({0}, {1}), "one set per query", id="too-few-sets"),
+        pytest.param(2, ({0}, {2}), r"query 1 names reference 2 outside \[0, 2\)",
+                     id="reference-past-the-end"),
+        pytest.param(1, ({-1},), r"names reference -1 outside", id="negative-reference"),
+    ])
+    def test_malformed_map_rejected(self, n_queries, relevant, message):
+        with pytest.raises(DataFormatError, match=message):
+            RelevanceMap(n_queries, 2, relevant)
+
+    @pytest.mark.parametrize("shape, message", [
+        pytest.param((4, 2), "relevance query count", id="queries"),
+        pytest.param((3, 5), "relevance reference count", id="references"),
+    ])
+    def test_counts_must_match_the_embeddings(self, shape, message):
+        ds = tiny_dataset()
+        relevance = RelevanceMap(*shape, [()] * shape[0])
+        with pytest.raises(DataFormatError, match=message):
+            MultimodalDataset(ds.schema, ds.query_embeddings, ds.reference_embeddings,
+                              ds.query_mask, ds.reference_mask, relevance)
+
+
 class TestRelevanceFromPositions:
     def test_boundary_is_inclusive(self):
         queries = np.array([[0.0, 0.0], [10.0, 0.0]])
@@ -236,6 +259,22 @@ class TestRelevanceFromPositions:
     def test_non_finite_coordinates_rejected(self):
         with pytest.raises(ValueError):
             relevance_from_positions(np.array([[np.nan, 0.0]]), np.zeros((1, 2)), 1.0)
+
+    @pytest.mark.parametrize("query_xy, reference_xy, threshold, message", [
+        pytest.param(np.zeros((2, 3)), np.zeros((1, 2)), 1.0, r"must be \(n, 2\)",
+                     id="three-columns"),
+        pytest.param(np.zeros((2, 2)), np.zeros(2), 1.0, r"must be \(n, 2\)",
+                     id="one-dimensional"),
+        pytest.param(np.zeros((1, 2)), np.zeros((1, 2)), -1.0, "threshold_meters",
+                     id="negative-threshold"),
+        pytest.param(np.zeros((1, 2)), np.zeros((1, 2)), math.inf, "threshold_meters",
+                     id="infinite-threshold"),
+        pytest.param(np.zeros((1, 2)), np.zeros((1, 2)), math.nan, "threshold_meters",
+                     id="nan-threshold"),
+    ])
+    def test_bad_arguments_rejected(self, query_xy, reference_xy, threshold, message):
+        with pytest.raises(ValueError, match=message):
+            relevance_from_positions(query_xy, reference_xy, threshold)
 
 
 class TestSplitQueries:
@@ -259,6 +298,16 @@ class TestSplitQueries:
             split_queries(10, 0.01, seed=0)
         with pytest.raises(ValueError):
             split_queries(10, 0.999, seed=0)
+
+    @pytest.mark.parametrize("n_queries, fraction, message", [
+        pytest.param(1, 0.5, "at least 2 queries", id="one-query"),
+        pytest.param(10, 0.0, "strictly inside", id="fraction-0"),
+        pytest.param(10, 1.0, "strictly inside", id="fraction-1"),
+        pytest.param(10, math.nan, "strictly inside", id="nan-fraction"),
+    ])
+    def test_bad_arguments_rejected(self, n_queries, fraction, message):
+        with pytest.raises(ValueError, match=message):
+            split_queries(n_queries, fraction, seed=0)
 
 
 class TestModalityDropout:
@@ -289,6 +338,24 @@ class TestModalityDropout:
         a = apply_modality_dropout(mask, [0.3] * 4, seed=9)
         b = apply_modality_dropout(mask, [0.3] * 4, seed=9)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("mask, probabilities, keep, message", [
+        pytest.param(np.ones((3, 2)), [0.5], False, "one value per modality column",
+                     id="too-few-probabilities"),
+        pytest.param(np.ones(2), [0.5, 0.5], False, "one value per modality column",
+                     id="one-dimensional-mask"),
+        pytest.param(np.ones((3, 2)), [0.5, 1.5], False, r"lie in \[0, 1\]",
+                     id="probability-above-1"),
+        pytest.param(np.ones((3, 2)), [-0.1, 0.5], False, r"lie in \[0, 1\]",
+                     id="negative-probability"),
+        pytest.param(np.ones((3, 2)), [0.5, math.nan], False, r"lie in \[0, 1\]",
+                     id="nan-probability"),
+        pytest.param(np.ones((3, 2)), [0.5, 1.0], True, "keep_at_least_one",
+                     id="keep-one-with-certain-dropout"),
+    ])
+    def test_bad_arguments_rejected(self, mask, probabilities, keep, message):
+        with pytest.raises(ValueError, match=message):
+            apply_modality_dropout(mask, probabilities, seed=0, keep_at_least_one=keep)
 
 
 class TestSchema:

@@ -11,6 +11,7 @@ queries {0, 1}: the ("a","a") band sees scores [1,0,0,1] with labels
 
 import dataclasses
 import json
+import math
 import struct
 from collections import Counter
 
@@ -324,6 +325,26 @@ class TestFitModel:
         with pytest.raises(ValueError, match="fittable"):
             fit_model(flat, [0, 1])
 
+    @pytest.mark.parametrize("calibration_ids, subsample, message", [
+        pytest.param([], None, "need at least one calibration query id", id="no-ids"),
+        pytest.param([0, 1, 0], None, "duplicate calibration query ids",
+                     id="duplicate-ids"),
+        pytest.param([0, 1], (1.5, 7), r"ratio must be a number in \[0, 1\], got 1.5",
+                     id="ratio-above-1"),
+        pytest.param([0, 1], (True, 7), "ratio must be a number in", id="bool-ratio"),
+        pytest.param([0, 1], (np.True_, 7), "ratio must be a number in",
+                     id="numpy-bool-ratio"),
+    ])
+    def test_bad_arguments_rejected(self, tiny_dataset, calibration_ids, subsample,
+                                    message):
+        with pytest.raises(ValueError, match=message):
+            fit_model(tiny_dataset, calibration_ids, negative_subsample=subsample)
+
+    def test_a_model_needs_a_first_stage_band(self):
+        band = PredictionBand(0.0, 1.0, np.array([0.25, 0.5]))
+        with pytest.raises(ValueError, match="at least one first-stage band"):
+            CalibratedModel("f" * 64, Fuser.MEAN, {}, band)
+
     def test_fuser_accepts_strings(self, tiny_dataset):
         model = fit_model(tiny_dataset, [0, 1], fuser="max")
         assert model.fuser is Fuser.MAX
@@ -384,6 +405,16 @@ class TestScorePair:
         model = fit_model(ds, [0, 1])
         probs, _, answerable = score_grid(model, ds, [1], [1])  # "a"-only vs "b"-only
         assert (probs[0, 0], answerable[0, 0]) == (0.0, False)
+
+    @pytest.mark.parametrize("ids, message", [
+        pytest.param({"query_ids": []}, "need at least one query id", id="no-queries"),
+        pytest.param({"reference_ids": []}, "need at least one reference id",
+                     id="no-references"),
+    ])
+    def test_empty_id_list_rejected(self, tiny_dataset, ids, message):
+        model = fit_model(tiny_dataset, [0, 1])
+        with pytest.raises(ValueError, match=message):
+            score_grid(model, tiny_dataset, **ids)
 
     def test_fingerprint_mismatch_rejected(self, tiny_dataset):
         ds = synth_dataset()
@@ -626,6 +657,26 @@ def test_malformed_metadata_rejected(tmp_path, edit, message):
     path = saved_model(tmp_path)
     rewrite_metadata(path, edit)
     with pytest.raises(DataFormatError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("second_stage, message", [
+    pytest.param([0.0, 1.0, 0.25], "a band needs at least 2 nonconformity scores",
+                 id="one-score"),
+    pytest.param([0.0, 1.0, 0.25, math.nan], "nonconformity scores must be finite",
+                 id="nan-score"),
+    pytest.param([1.0, 1.0, 0.25, 0.5], "score range must be finite", id="empty-range"),
+    pytest.param([1.0, 0.0, 0.25, 0.5], "score range must be finite", id="reversed-range"),
+])
+def test_damaged_band_rejected(tmp_path, second_stage, message):
+    path = tmp_path / "m.bin"
+    save_model(tiny_model(), path)
+    rewrite_metadata(path, edit_doc(
+        lambda doc: doc["second_stage"].update(size=len(second_stage) - 2)))
+    # the last four payload entries are the second stage
+    path.write_bytes(path.read_bytes()[:-32]
+                     + struct.pack(f"<{len(second_stage)}d", *second_stage))
+    with pytest.raises(DataFormatError, match=f"bad prediction band: {message}"):
         load_model(path)
 
 

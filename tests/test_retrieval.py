@@ -245,6 +245,22 @@ class TestShortlist:
         assert retrieve_shortlist(model, ds, 1, k=1, alpha=4.0).ranked == \
             retrieve(model, ds, 1, k=1).ranked
 
+    def test_query_with_no_observable_pair_lists_the_first_references(self,
+                                                                      tiny_dataset):
+        ds = MultimodalDataset(
+            schema=tiny_dataset.schema,
+            query_embeddings=dict(tiny_dataset.query_embeddings),
+            reference_embeddings=dict(tiny_dataset.reference_embeddings),
+            query_mask=np.array([[0, 0], [1, 0], [0, 1]], dtype=bool),
+            reference_mask=tiny_dataset.reference_mask,
+            relevance=tiny_dataset.relevance,
+        )
+        model = fit_model(tiny_dataset, [0, 1])
+        # the shortlist is empty, so every listed reference is a flagged fill
+        for k, want in ((1, [(0, 0.0, True)]), (5, [(0, 0.0, True), (1, 0.0, True)])):
+            assert retrieve_shortlist(model, ds, 0, k=k).ranked == want
+            assert retrieve(model, ds, 0, k=k).ranked == want
+
     def test_per_rank_probability_non_decreasing_in_alpha(self):
         ds = synth_dataset(seed=9)
         model = fit_model(ds, list(range(12)))

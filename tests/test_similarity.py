@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conformal_retrieval.dataset import row_norms
 from conformal_retrieval.similarity import cosine_table, pairwise_score_table
 from conformal_retrieval.synthgen import SynthConfig, SynthSpace, generate
 
@@ -110,6 +111,23 @@ class TestFloat32References:
         assert cosine_table(q, r, norms).tobytes() == want
         assert cosine_table(q, r64).tobytes() == want
         assert cosine_table(q.astype(np.float64), r).tobytes() == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_block_invariance_holds_at_8192_columns(self, dtype):
+        # 8192 is numpy's buffer size: up to it einsum reduces each cell in
+        # one pass, so a grid and its 1x1 blocks agree bit for bit; past it
+        # the reduction is split, and the float64 route already differs at
+        # 8193 columns
+        rng = np.random.default_rng(8192)
+        q = rng.standard_normal((3, 8192)).astype(dtype)
+        r = rng.standard_normal((40, 8192)).astype(dtype)
+        # the float32 rows are scored with kept norms, as the dataset keeps them
+        norms = row_norms(r) if dtype is np.float32 else None
+        grid = cosine_table(q, r, norms)
+        cells = np.array([[cosine_table(q[i:i + 1], r[j:j + 1],
+                                        None if norms is None else norms[j:j + 1])[0, 0]
+                           for j in range(40)] for i in range(3)])
+        assert grid.tobytes() == cells.tobytes()
 
     def test_one_call_allocates_less_than_a_float64_copy(self):
         # the stored float32 rows are scored in place: a float64 copy of the

@@ -6,6 +6,8 @@ these tests pin its contract hard: byte determinism under a seed, exact
 alignment at zero noise, and monotone degradation as noise grows.
 '''
 
+import math
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,35 @@ class TestGenerate:
             generate(bimodal_config(relevant_per_query=26))
         with pytest.raises(ValueError):
             generate(bimodal_config(query_dropout={"zz": 0.5}))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_queries", 2.5), ("n_queries", 0), ("n_references", True),
+        ("n_references", -3), ("latent_dim", 2.5), ("latent_dim", 0),
+        ("relevant_per_query", 1.5), ("relevant_per_query", np.float64(1.0)),
+    ])
+    def test_counts_must_be_integers_of_at_least_1(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be an integer of at least 1"):
+            generate(bimodal_config(**{field: value}))
+
+    def test_numpy_integer_counts_accepted(self):
+        config = dict(n_queries=np.int64(40), n_references=np.int32(25),
+                      latent_dim=np.int64(8), relevant_per_query=np.int64(1))
+        a, b = generate(bimodal_config(**config)), generate(bimodal_config())
+        assert a.relevance == b.relevance
+
+    @pytest.mark.parametrize("sigma, offset, message", [
+        pytest.param(-0.1, 0.0, "noise_sigma must be finite and >= 0", id="negative-sigma"),
+        pytest.param(math.inf, 0.0, "noise_sigma must be finite and >= 0",
+                     id="infinite-sigma"),
+        pytest.param(math.nan, 0.0, "noise_sigma must be finite and >= 0", id="nan-sigma"),
+        pytest.param(0.1, math.inf, "score_offset must be finite", id="infinite-offset"),
+        pytest.param(0.1, math.nan, "score_offset must be finite", id="nan-offset"),
+    ])
+    def test_space_recipe_refusals(self, sigma, offset, message):
+        space = SynthSpace("s1", 16, noise_sigma=sigma, score_offset=offset)
+        with pytest.raises(ValueError, match=f"space 's1': {message}"):
+            generate(bimodal_config(spaces=(space,)))
 
 
 class TestHeuristicBaseline:
