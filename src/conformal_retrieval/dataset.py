@@ -351,9 +351,9 @@ class MultimodalDataset:
 
     @functools.cached_property
     def reference_norms(self) -> dict:
-        '''row_norms of every reference embedding, by the same (modality,
-        space) keys, as read-only float64 vectors. Built on first use, never
-        at construction or load.'''
+        '''Read-only float64 row_norms of every reference embedding, by
+        (modality, space) key, built on first use, never at construction or
+        load. Every scoring call, viewed or gathered, takes its rows' entries.'''
         norms = {key: row_norms(rows) for key, rows in self.reference_embeddings.items()}
         for vector in norms.values():
             vector.setflags(write=False)

@@ -233,8 +233,11 @@ def score_grid(model: CalibratedModel, dataset, query_ids=None,
     check_compatible(model, dataset)
     query_ids = validated_ids(query_ids, dataset.n_queries, "query")
     reference_ids = validated_ids(reference_ids, dataset.n_references, "reference")
+    # a pair no requested query observes has no observed cell to fuse
+    seen = dataset.query_mask[query_ids].any(axis=0)
     scored = ((band, *pairwise_score_table(dataset, pair, query_ids, reference_ids))
-              for pair, band in model.first_stage.items())
+              for pair, band in model.first_stage.items()
+              if seen[dataset.schema.query_modalities.index(pair[0])])
     fused, answerable = _fuse_tables(scored, model.fuser,
                                      (len(query_ids), len(reference_ids)))
     probs = np.zeros(answerable.shape)

@@ -30,12 +30,10 @@ def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray,
     columns, numpy's buffer size, and is tested there; past it einsum
     splits each reduction, and a cell's last bit can follow the block shape.
 
-    Only the query block is widened to a float64 copy. Float32 reference
-    rows are widened inside einsum's buffer, which gives the bits a float64
-    copy would, and the contraction keeps the reference row outermost, so
-    each reference row is widened once whatever the query count; with the
-    query row outermost, every query row would widen the whole reference
-    block again.
+    Only the query block is widened to a float64 copy; float32 reference
+    rows are widened inside einsum's buffer. The reference row is outermost
+    so that each is widened once whatever the query count: with the query
+    row outermost, every query row would widen the whole reference block.
 
     Args:
         query_rows / reference_rows: 2-D blocks with the same column count.
@@ -62,16 +60,21 @@ def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray,
     return out
 
 
-def _rows(matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    '''The rows of matrix at ids: matrix itself, not a gathered copy, when
-    ids are every row in order.'''
-    if ids.size == len(matrix) and np.array_equal(ids, np.arange(ids.size)):
-        return matrix
-    return matrix[ids]
+def _index(ids: np.ndarray, n: int):
+    '''An index that takes the rows at ids: slice(None), a view, when ids
+    are every row 0..n-1 in order, and ids themselves, a gather, otherwise.'''
+    if ids.size == n and np.array_equal(ids, np.arange(n)):
+        return slice(None)
+    return ids
 
 
 def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> tuple:
     '''Score one modality pair over explicit id lists.
+
+    One index per side, a view when the ids are every row in order and a
+    gather otherwise, takes that side's float32 rows and mask column, and
+    the reference side's kept norms. One cosine_table call scores the rows;
+    no reference row is copied to float64.
 
     Args:
         dataset: A MultimodalDataset.
@@ -87,20 +90,12 @@ def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> tuple:
     space = dataset.schema.space_for(qmod, rmod)
     if space is None:
         raise ValueError(f"pair ({qmod!r}, {rmod!r}) is not covered by any space")
-    query_ids = np.asarray(query_ids, dtype=np.intp)
-    reference_ids = np.asarray(reference_ids, dtype=np.intp)
+    qi = _index(np.asarray(query_ids, dtype=np.intp), dataset.n_queries)
+    ri = _index(np.asarray(reference_ids, dtype=np.intp), dataset.n_references)
     key = (rmod, space.name)
-    q = _rows(dataset.query_embeddings[(qmod, space.name)], query_ids)
-    stored = dataset.reference_embeddings[key]
-    r = _rows(stored, reference_ids)
-    if r is stored:
-        values = cosine_table(q, r, dataset.reference_norms[key])
-    else:
-        # a gather is a fresh copy anyway, and a subsampled fit's gathers are
-        # small: widening one costs less than einsum's buffered cast, and its
-        # norms less than building every stored row's
-        values = cosine_table(q, r.astype(np.float64))
-    q_present = dataset.query_mask[query_ids, dataset.schema.query_modalities.index(qmod)]
-    r_present = dataset.reference_mask[
-        reference_ids, dataset.schema.reference_modalities.index(rmod)]
+    values = cosine_table(dataset.query_embeddings[(qmod, space.name)][qi],
+                          dataset.reference_embeddings[key][ri],
+                          dataset.reference_norms[key][ri])
+    q_present = dataset.query_mask[qi, dataset.schema.query_modalities.index(qmod)]
+    r_present = dataset.reference_mask[ri, dataset.schema.reference_modalities.index(rmod)]
     return values, q_present[:, None] & r_present[None, :]

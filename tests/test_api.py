@@ -149,6 +149,11 @@ def test_results_are_built_in_three_places():
         "retrieval.heuristic_baseline"]
 
 
+def test_rows_are_scored_in_one_place():
+    # viewed and gathered id lists take the same route to one kernel call
+    assert callers(None, {"cosine_table"}) == ["similarity.pairwise_score_table"]
+
+
 def test_flag_values_are_split_in_one_place():
     tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
     splitters = {"split", "rsplit", "partition", "rpartition"}

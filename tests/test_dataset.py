@@ -24,6 +24,7 @@ from conformal_retrieval.dataset import (
     RelevanceMap,
     SharedSpace,
     apply_modality_dropout,
+    atomic_write_bytes,
     load_dataset,
     parse_json,
     read_embedding_file,
@@ -703,6 +704,18 @@ class TestManifestIO:
         (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DataFormatError):
             load_dataset(tmp_path / "data")
+
+
+def test_failed_rename_leaves_no_file(tmp_path, monkeypatch):
+    # the temp file is removed and the error propagates; the target is
+    # never created
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        atomic_write_bytes(tmp_path / "out.bin", b"data")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestParseJson:

@@ -422,6 +422,30 @@ class TestScorePair:
         with pytest.raises(ModelDataMismatchError):
             score_grid(model, tiny_dataset, [0], [0])
 
+    @pytest.mark.parametrize("missing", [0, 1])
+    def test_skips_pairs_no_requested_query_observes(self, monkeypatch, missing):
+        # every cell of such a pair is unobserved and fuses nothing, so the
+        # pair is not scored and the grid keeps its bits
+        ds = synth_dataset()
+        model = fit_model(ds, list(range(12)))
+        lone = int(np.flatnonzero(~ds.query_mask[:, missing])[0])
+        full = int(np.flatnonzero(ds.query_mask.all(axis=1))[0])
+        calls = []
+        original = pipeline_module.pairwise_score_table
+
+        def counting(dataset, pair, *ids):
+            calls.append(pair)
+            return original(dataset, pair, *ids)
+
+        monkeypatch.setattr(pipeline_module, "pairwise_score_table", counting)
+        both = score_grid(model, ds, [full, lone])
+        assert calls == [("a", "a"), ("b", "b")]
+        calls.clear()
+        alone = score_grid(model, ds, [lone])
+        assert calls == [[("b", "b")], [("a", "a")]][missing]
+        for got, want in zip(alone, both):
+            assert (got == want[1:]).all()
+
     def test_grid_matches_scalar_exactly(self, cell_oracle):
         ds = synth_dataset()
         model = fit_model(ds, list(range(12)))

@@ -130,21 +130,23 @@ class TestFloat32References:
         assert grid.tobytes() == cells.tobytes()
 
     def test_one_call_allocates_less_than_a_float64_copy(self):
-        # the stored float32 rows are scored in place: a float64 copy of the
-        # reference block (n x dim x 8 bytes) would show in the peak
+        # the stored float32 rows are scored in place, and a gathered id list
+        # copies float32 rows only: a float64 copy of the reference block
+        # (n x dim x 8 bytes) would show in the peak
         ds = generate(SynthConfig(4, 2000, ("a",), ("a",),
                                   (SynthSpace("s", 128, noise_sigma=0.3),), seed=5))
         n, dim = 2000, 128
-        pair, refs = ("a", "a"), np.arange(n)
-        pairwise_score_table(ds, pair, [0], refs)  # builds the cached norms
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            pairwise_score_table(ds, pair, [1], refs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * dim * 8
+        pair = ("a", "a")
+        pairwise_score_table(ds, pair, [0], np.arange(n))  # builds the cached norms
+        for refs in (np.arange(n), np.arange(1, n)):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                pairwise_score_table(ds, pair, [1], refs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * dim * 8, len(refs)
 
 
 class TestPairwiseScoreTable:
