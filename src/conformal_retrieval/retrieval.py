@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import DataFormatError, check_count, read_csv, write_csv
 from .pipeline import check_compatible, score_grid, validated_ids
-from .similarity import pairwise_score_table
+from .similarity import cosine_bounds, pairwise_score_table
 
 __all__ = [
     "RetrievalResult",
@@ -118,13 +118,23 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
 
     Each modality pair observable for the query nominates its top
     ceil(alpha * k) references by raw score, among those that observe the
-    pair (raw scores cover every reference, so the pick costs one cosine
-    row per pair); the union is then scored and ranked exactly like
-    retrieve. With a budget covering every reference the result is
-    identical to exact retrieval; smaller budgets trade recall for speed.
-    References with no observable pair at all stay out of the shortlist
-    and join it, in index order, only when k exceeds the answerable count,
-    so every list has min(k, n_references) entries and they rank flagged.
+    pair; the union is then scored and ranked exactly like retrieve. With a
+    budget covering every reference the result is identical to exact
+    retrieval; smaller budgets trade recall for speed. An alpha past the
+    reference count is such a budget. References with no observable pair
+    at all stay out of the shortlist and join it, in index order, only when
+    k exceeds the answerable count, so every list has min(k, n_references)
+    entries and they rank flagged.
+
+    Each pick screens, then refines. similarity.cosine_bounds bounds every
+    reference's cosine with one float32 product; the references whose
+    upper bound reaches the budget-th largest lower bound are the only
+    ones that can make the pick, and they alone are scored exactly and
+    ranked. Every bound holds the exact cosine, so the budget-th largest
+    lower bound is at most the budget-th largest exact cosine, and each
+    reference of the exact pick survives the screen: the nominated set is
+    the one a full exact row would give, whatever bits BLAS gives the
+    screen. An overflowing float32 dot gets unbounded bounds and survives.
 
     Args:
         model: Fitted CalibratedModel.
@@ -137,21 +147,27 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
     _check_alpha(alpha, "alpha")
     check_compatible(model, dataset)
     validated_ids([query_index], dataset.n_queries, "query")
-    # no pair has more candidates than references; min keeps a huge k off floats
-    budget = math.ceil(alpha * min(k, dataset.n_references))
+    # no pair has more candidates than references, so capping both factors
+    # there keeps a huge alpha or k off float overflow
+    n = dataset.n_references
+    budget = math.ceil(min(alpha, n) * min(k, n))
     qmods = dataset.schema.query_modalities
-    refs = np.arange(dataset.n_references)
-    union = np.zeros(dataset.n_references, dtype=bool)
+    rmods = dataset.schema.reference_modalities
+    union = np.zeros(n, dtype=bool)
     for qmod, rmod in model.first_stage:
         if not dataset.query_mask[query_index, qmods.index(qmod)]:
             continue
-        # every reference, ungathered; no cosine is -inf, so capping the
-        # budget at the observed count nominates observed ones only
-        values, observed = pairwise_score_table(dataset, (qmod, rmod), [query_index], refs)
-        scores = np.where(observed[0], values[0], -np.inf)
-        n_observed = np.count_nonzero(observed)
-        if n_observed:
-            union[_top(refs, scores, min(budget, n_observed))] = True
+        observed = dataset.reference_mask[:, rmods.index(rmod)]
+        take = min(budget, int(np.count_nonzero(observed)))
+        if not take:
+            continue
+        # screen, then score exactly only what can still make the pick
+        lower, upper = cosine_bounds(dataset, (qmod, rmod), query_index)
+        lower = np.where(observed, lower, -np.inf)
+        kth = np.partition(lower, n - take)[n - take]
+        cand = np.flatnonzero(observed & (upper >= kth))
+        values, _ = pairwise_score_table(dataset, (qmod, rmod), [query_index], cand)
+        union[cand[_top(cand, values[0], take)]] = True
     # short of k only when fewer than k are answerable: the union then holds
     # them all, and the first unpicked ones, all unanswerable, fill it up; the
     # count is a Python int so that a huge k does not overflow

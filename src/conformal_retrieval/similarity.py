@@ -2,7 +2,9 @@
 
 Scores are plain cosine similarities computed at float64. Cells where a side
 is missing the modality are flagged in an explicit `observed` grid;
-downstream code must branch on the flag, never on their values.
+downstream code must branch on the flag, never on their values. A cheaper
+float32 screen bounds one query's cosines against every reference, so a
+caller can score exactly only the references the bounds leave in play.
 '''
 
 import numpy as np
@@ -10,9 +12,15 @@ import numpy as np
 from .dataset import row_norms
 
 __all__ = [
+    "cosine_bounds",
     "cosine_table",
     "pairwise_score_table",
 ]
+
+# unit roundoff of float32 and float64, and float32's smallest subnormal
+_U32 = 2.0 ** -24
+_U64 = 2.0 ** -53
+_TINY32 = 2.0 ** -149
 
 
 def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray,
@@ -68,6 +76,16 @@ def _index(ids: np.ndarray, n: int):
     return ids
 
 
+def _keys(dataset, pair) -> tuple:
+    '''The (modality, space) embedding keys of a pair's query and
+    reference side; ValueError when no space covers the pair.'''
+    qmod, rmod = pair
+    space = dataset.schema.space_for(qmod, rmod)
+    if space is None:
+        raise ValueError(f"pair ({qmod!r}, {rmod!r}) is not covered by any space")
+    return (qmod, space.name), (rmod, space.name)
+
+
 def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> tuple:
     '''Score one modality pair over explicit id lists.
 
@@ -87,15 +105,64 @@ def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> tuple:
         (len(query_ids), len(reference_ids)).
     '''
     qmod, rmod = pair
-    space = dataset.schema.space_for(qmod, rmod)
-    if space is None:
-        raise ValueError(f"pair ({qmod!r}, {rmod!r}) is not covered by any space")
+    qkey, rkey = _keys(dataset, pair)
     qi = _index(np.asarray(query_ids, dtype=np.intp), dataset.n_queries)
     ri = _index(np.asarray(reference_ids, dtype=np.intp), dataset.n_references)
-    key = (rmod, space.name)
-    values = cosine_table(dataset.query_embeddings[(qmod, space.name)][qi],
-                          dataset.reference_embeddings[key][ri],
-                          dataset.reference_norms[key][ri])
+    values = cosine_table(dataset.query_embeddings[qkey][qi],
+                          dataset.reference_embeddings[rkey][ri],
+                          dataset.reference_norms[rkey][ri])
     q_present = dataset.query_mask[qi, dataset.schema.query_modalities.index(qmod)]
     r_present = dataset.reference_mask[ri, dataset.schema.reference_modalities.index(rmod)]
     return values, q_present[:, None] & r_present[None, :]
+
+
+def cosine_bounds(dataset, pair, query_index: int) -> tuple:
+    '''Bounds on the cosine pairwise_score_table scores one query against
+    every reference, from one float32 matrix-vector product.
+
+    The product runs over the stored float32 reference rows, neither
+    gathered nor widened, and is divided by the query's norm times the kept
+    reference norms: the denominator the exact route divides by. A float32
+    dot of d terms is off the exact one by at most
+    gamma_d * sum|q_i r_i| <= gamma_d * |q| |r|, gamma_d = d u / (1 - d u)
+    with u = 2**-24, plus d * 2**-149 for products that underflow; the
+    float64 dot of the exact route is off by float64's gamma_d on the same
+    sum. Each value is widened by both over the denominator, plus a few
+    float64 ulps for the divisions and the norms, and clipped to [-1, 1]
+    as the exact cosine is, so lower <= exact <= upper for every reference.
+    A zero-norm row on either side scores exactly 0 and gets [0, 0]. A dot
+    that overflows float32 bounds nothing and gets (-inf, +inf). No
+    floating-point warning escapes. The values screen candidates only:
+    BLAS may reduce in any order or thread count, which moves their bits
+    within the bound but never past it.
+
+    Args:
+        dataset: A MultimodalDataset.
+        pair: (query modality, reference modality); must be scoreable.
+        query_index: The query row, which need not observe the modality.
+
+    Returns:
+        (lower, upper): float64 arrays of n_references bounds, whatever
+        the reference mask says.
+    '''
+    qkey, rkey = _keys(dataset, pair)
+    rows = dataset.reference_embeddings[rkey]
+    query = dataset.query_embeddings[qkey][[query_index]]
+    d = rows.shape[1]
+    gamma = d * _U32 / (1.0 - d * _U32) + d * _U64 / (1.0 - d * _U64)
+    margin = 1.0 + 2.0 ** -20
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dots = rows @ query[0]
+        denom = dataset.reference_norms[rkey] * row_norms(query)[0]
+        # a zero denominator makes the value NaN and its slack inf
+        values = dots / denom
+        slack = (d * _TINY32 * margin) / denom
+        slack += gamma * margin + 2.0 ** -48
+        lower = np.maximum(values - slack, -1.0)
+        upper = np.minimum(values + slack, 1.0)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        lower[bad], upper[bad] = -np.inf, np.inf
+        zero = denom == 0.0
+        lower[zero] = upper[zero] = 0.0
+    return lower, upper

@@ -154,6 +154,11 @@ def test_rows_are_scored_in_one_place():
     assert callers(None, {"cosine_table"}) == ["similarity.pairwise_score_table"]
 
 
+def test_the_shortlist_screen_has_one_caller():
+    # screen bounds pick candidates only; they never reach a score
+    assert callers(None, {"cosine_bounds"}) == ["retrieval.retrieve_shortlist"]
+
+
 def test_flag_values_are_split_in_one_place():
     tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
     splitters = {"split", "rsplit", "partition", "rpartition"}

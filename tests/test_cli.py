@@ -470,6 +470,20 @@ class TestRetrieve:
                      "--out", str(fast)]) == 0
         assert exact.read_bytes() == fast.read_bytes()
 
+    def test_huge_shortlist_alpha_covers_every_reference(self, pipeline_dirs,
+                                                         tmp_path):
+        # alpha * k overflows a float; the budget is capped at the reference
+        # count, so the shortlist ranks what exact retrieval ranks
+        data, model, _ = pipeline_dirs
+        exact = tmp_path / "exact.csv"
+        fast = tmp_path / "fast.csv"
+        assert main(["retrieve", "--data", str(data), "--model", str(model),
+                     "--k", "5", "--out", str(exact)]) == 0
+        assert main(["retrieve", "--data", str(data), "--model", str(model),
+                     "--k", "5", "--mode", "shortlist", "--shortlist-alpha", "1e308",
+                     "--out", str(fast)]) == 0
+        assert exact.read_bytes() == fast.read_bytes()
+
     def test_model_dataset_mismatch_is_exit_3(self, pipeline_dirs, tmp_path):
         _, model, _ = pipeline_dirs
         other = tmp_path / "other"

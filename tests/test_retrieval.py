@@ -55,6 +55,83 @@ def synth_dataset(seed=42, **overrides):
     return generate(SynthConfig(**base))
 
 
+def shortlist_oracle(model, ds, qi, k, alpha):
+    '''In-test oracle for retrieve_shortlist: each observable pair's
+    ceil(alpha * k) best among the references it observes, gathered and
+    sorted in full, filled up to k from the first unpicked references in
+    index order, then ranked like retrieve. Returns the candidate ids and
+    the ranked list.'''
+    budget = math.ceil(alpha * k)
+    qmods = ds.schema.query_modalities
+    rmods = ds.schema.reference_modalities
+    union = set()
+    for qmod, rmod in model.first_stage:
+        if not ds.query_mask[qi, qmods.index(qmod)]:
+            continue
+        cand = np.flatnonzero(ds.reference_mask[:, rmods.index(rmod)])
+        values, _ = pairwise_score_table(ds, (qmod, rmod), [qi], cand)
+        union.update(cand[np.lexsort((cand, -values[0]))[:budget]].tolist())
+    fill = [j for j in range(ds.n_references) if j not in union]
+    union.update(fill[:max(k - len(union), 0)])
+    refs = np.array(sorted(union), dtype=np.intp)
+    probs, fused, answerable = score_grid(model, ds, [qi], refs)
+    order = np.lexsort((refs, -fused[0]))[:k]
+    return refs, [(int(refs[j]), float(probs[0, j]), not answerable[0, j])
+                  for j in order]
+
+
+def with_embeddings(ds, change):
+    '''ds with change(side, rows) -> new rows applied to every query
+    ("query") and reference ("reference") embedding block.'''
+    return dataclasses.replace(
+        ds,
+        query_embeddings={key: change("query", rows)
+                          for key, rows in ds.query_embeddings.items()},
+        reference_embeddings={key: change("reference", rows)
+                              for key, rows in ds.reference_embeddings.items()})
+
+
+def scaled(factor):
+    # float32 rows times a Python float stay float32
+    return lambda ds: with_embeddings(ds, lambda side, rows: rows * factor)
+
+
+def near_ties(ds):
+    # references 5-9 repeat 0-4 exactly and 10-14 sit one float32 ulp away,
+    # far closer than the screen's slack
+    def change(side, rows):
+        if side == "query":
+            return rows
+        rows = rows.copy()
+        rows[5:10] = rows[0:5]
+        rows[10:15] = np.nextafter(rows[0:5], np.float32(np.inf))
+        return rows
+    return with_embeddings(ds, change)
+
+
+def zero_rows(ds):
+    # query 15 and references 3 and 7 keep their modalities but store zeros
+    def change(side, rows):
+        rows = rows.copy()
+        rows[[15] if side == "query" else [3, 7]] = 0.0
+        return rows
+    return with_embeddings(ds, change)
+
+
+SCREEN_EDGES = {
+    # float32 products all underflow at 1e-30 and partly, into subnormals,
+    # at 1e-22; at 1e22 and 1e30 they overflow
+    "scaled-1e-30": (scaled(1e-30), {}),
+    "scaled-1e-22": (scaled(1e-22), {}),
+    "scaled-1e22": (scaled(1e22), {}),
+    "scaled-1e30": (scaled(1e30), {}),
+    "near-ties": (near_ties, {}),
+    "zero-rows": (zero_rows, {}),
+    "heavy-reference-dropout": (lambda ds: ds,
+                                {"reference_dropout": {"a": 0.9, "b": 0.9}}),
+}
+
+
 class TestTop:
     def test_matches_a_full_lexsort(self):
         # few distinct values, so ties reach across the k-th place; +-0.0
@@ -138,8 +215,6 @@ class TestShortlist:
     @pytest.mark.parametrize("alpha", [1.0, 2.5])
     def test_union_is_each_pairs_best_observed_references(self, alpha,
                                                           monkeypatch):
-        # in-test oracle: each pair's budget best among the references it
-        # observes, gathered and sorted in full, then ranked like retrieve
         ds = synth_dataset(seed=5, reference_dropout={"a": 0.6, "b": 0.5})
         model = fit_model(ds, list(range(12)))
         scored = []
@@ -149,27 +224,13 @@ class TestShortlist:
             return score_grid(model, dataset, query_ids, reference_ids)
 
         monkeypatch.setattr(retrieval_module, "score_grid", recording)
-        qmods = ds.schema.query_modalities
-        rmods = ds.schema.reference_modalities
         for k in (1, 3, 8):
-            budget = math.ceil(alpha * k)
             for qi in range(12, 30):
-                union = set()
-                for qmod, rmod in model.first_stage:
-                    if not ds.query_mask[qi, qmods.index(qmod)]:
-                        continue
-                    cand = np.flatnonzero(ds.reference_mask[:, rmods.index(rmod)])
-                    values, _ = pairwise_score_table(ds, (qmod, rmod), [qi], cand)
-                    union.update(cand[np.lexsort((cand, -values[0]))[:budget]].tolist())
-                refs = np.array(sorted(union))
-                probs, fused, answerable = score_grid(model, ds, [qi], refs)
-                order = np.lexsort((refs, -fused[0]))[:k]
-                want = [(int(refs[j]), float(probs[0, j]), False) for j in order]
+                refs, want = shortlist_oracle(model, ds, qi, k, alpha)
                 scored.clear()
                 got = retrieve_shortlist(model, ds, qi, k=k, alpha=alpha).ranked
                 assert scored == [refs.tolist()]
-                assert got[:len(want)] == want
-                assert all(flag for _, _, flag in got[len(want):])
+                assert got == want
 
     def test_k_past_the_float_range(self):
         ds = synth_dataset()
@@ -179,6 +240,37 @@ class TestShortlist:
         for qi in range(12, 30):
             assert retrieve_shortlist(model, ds, qi, k=10**400).ranked == \
                 retrieve(model, ds, qi, k=10**400).ranked
+
+    @pytest.mark.parametrize("alpha", [1e308, np.float64(1e308), sys.float_info.max],
+                             ids=["float", "numpy-float64", "largest-float"])
+    def test_huge_alpha_is_a_covering_budget(self, alpha):
+        # alpha * k would overflow a float; any alpha past the reference
+        # count covers every reference, so the list is the one retrieve gives
+        ds = synth_dataset()
+        model = fit_model(ds, list(range(12)))
+        for qi in range(12, 30):
+            assert retrieve_shortlist(model, ds, qi, k=5, alpha=alpha).ranked == \
+                retrieve(model, ds, qi, k=5).ranked
+        assert batch_retrieve(model, ds, k=5, mode="shortlist",
+                              shortlist_alpha=alpha) == batch_retrieve(model, ds, k=5)
+
+    @pytest.mark.parametrize("edge", sorted(SCREEN_EDGES))
+    def test_screened_pick_matches_the_oracle_at_the_edges(self, edge):
+        transform, overrides = SCREEN_EDGES[edge]
+        ds = transform(synth_dataset(
+            seed=5, **{"reference_dropout": {"a": 0.6, "b": 0.5}, **overrides}))
+        model = fit_model(ds, list(range(12)))
+        n = ds.n_references
+        flagged = 0
+        # (3, 10.0) budgets past every observed count; k = n + 5 reaches
+        # past the answerable count
+        for k, alpha in ((1, 1.0), (3, 2.5), (8, 1.0), (3, 10.0), (n + 5, 1.0)):
+            for qi in range(12, 30):
+                _, want = shortlist_oracle(model, ds, qi, k, alpha)
+                got = retrieve_shortlist(model, ds, qi, k=k, alpha=alpha).ranked
+                assert got == want
+                flagged += sum(flag for _, _, flag in got)
+        assert flagged > 0
 
     def test_candidate_list_is_a_prefix_of_exact_order(self):
         ds = synth_dataset(seed=3)

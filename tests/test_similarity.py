@@ -6,15 +6,21 @@ within a tolerance: downstream calibration counts strictly-less
 comparisons, so a single flipped ulp could move a probability.
 '''
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conformal_retrieval.dataset import row_norms
-from conformal_retrieval.similarity import cosine_table, pairwise_score_table
+from conformal_retrieval.similarity import (
+    cosine_bounds,
+    cosine_table,
+    pairwise_score_table,
+)
 from conformal_retrieval.synthgen import SynthConfig, SynthSpace, generate
 
 
@@ -226,3 +232,85 @@ class TestSimilarityMatrix:
             tiny_dataset.reference_embeddings[("b", "s2")][1],
         )
         assert values[0, 0] == want
+
+
+def screened_dataset(factor):
+    '''60 queries x 300 references at 64-d, every row times factor, with
+    a zero query row (0), zero reference rows (3, 4), exact duplicates
+    (10-19 repeat 0-9) and one-ulp neighbours (20-29 next to 0-9).'''
+    ds = generate(SynthConfig(60, 300, ("a",), ("a",),
+                              (SynthSpace("s", 64, noise_sigma=0.3),),
+                              reference_dropout={"a": 0.3}, seed=11))
+    key = ("a", "s")
+    queries = ds.query_embeddings[key] * factor
+    refs = ds.reference_embeddings[key] * factor
+    refs[10:20] = refs[0:10]
+    refs[20:30] = np.nextafter(refs[0:10], np.float32(np.inf))
+    queries[0] = 0.0
+    refs[[3, 4]] = 0.0
+    return dataclasses.replace(ds, query_embeddings={key: queries},
+                               reference_embeddings={key: refs})
+
+
+class TestCosineBounds:
+    '''The screen's bounds hold the exact cosine of every reference.'''
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-30, 1e-22, 1e22, 1e30])
+    def test_exact_cosine_lies_inside(self, factor):
+        ds = screened_dataset(factor)
+        refs = np.arange(ds.n_references)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the screen leaks no warning
+            for qi in range(ds.n_queries):
+                lower, upper = cosine_bounds(ds, ("a", "a"), qi)
+                exact = pairwise_score_table(ds, ("a", "a"), [qi], refs)[0][0]
+                assert lower.dtype == upper.dtype == np.float64
+                assert lower.shape == upper.shape == (ds.n_references,)
+                assert np.all(lower <= exact) and np.all(exact <= upper), qi
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-30, 1e30])
+    def test_zero_norm_rows_get_exactly_zero(self, factor):
+        ds = screened_dataset(factor)
+        lower, upper = cosine_bounds(ds, ("a", "a"), 0)
+        assert np.all(lower == 0.0) and np.all(upper == 0.0)
+        lower, upper = cosine_bounds(ds, ("a", "a"), 5)
+        assert np.all(lower[[3, 4]] == 0.0) and np.all(upper[[3, 4]] == 0.0)
+
+    @pytest.mark.parametrize("factor", [1e22, 1e30])
+    def test_a_float32_overflow_bounds_nothing(self, factor):
+        # every product overflows float32; the exact float64 route does not
+        ds = screened_dataset(factor)
+        lower, upper = cosine_bounds(ds, ("a", "a"), 5)
+        nonzero = np.ones(ds.n_references, dtype=bool)
+        nonzero[[3, 4]] = False
+        assert np.all(lower[nonzero] == -np.inf) and np.all(upper[nonzero] == np.inf)
+
+    def test_unit_scale_bounds_are_float32_tight(self):
+        # at unit scale the slack is float32 rounding on 64 terms, so near
+        # ties overlap but the bulk of the references is told apart
+        ds = screened_dataset(1.0)
+        lower, upper = cosine_bounds(ds, ("a", "a"), 5)
+        width = upper - lower
+        assert np.all(width[5:] > 0.0) and width.max() < 4 * 64 * 2.0 ** -24
+        assert np.count_nonzero(width == 0.0) == 2  # the zero rows
+        kth = np.sort(lower)[-10]
+        assert np.count_nonzero(upper >= kth) < 40
+
+    def test_no_reference_row_is_copied(self):
+        # one float32 product over the stored rows: a copy of the n x dim
+        # float32 block would show in the peak
+        ds = generate(SynthConfig(4, 2000, ("a",), ("a",),
+                                  (SynthSpace("s", 128, noise_sigma=0.3),), seed=5))
+        cosine_bounds(ds, ("a", "a"), 0)  # builds the cached norms
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            cosine_bounds(ds, ("a", "a"), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 128 * 4 // 2
+
+    def test_uncovered_pair_rejected(self, tiny_dataset):
+        with pytest.raises(ValueError):
+            cosine_bounds(tiny_dataset, ("a", "b"), 0)
