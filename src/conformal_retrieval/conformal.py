@@ -33,6 +33,9 @@ __all__ = [
 class PredictionBand:
     '''Frozen calibration state for one score distribution.
 
+    A valid band is accepted in one pass over its scores; only a band
+    that fails it is checked again, to name what is wrong.
+
     Attributes:
         theta_min: Smallest raw score seen during calibration.
         theta_max: Largest raw score seen during calibration.
@@ -48,13 +51,19 @@ class PredictionBand:
         object.__setattr__(self, "sorted_gamma", gamma)
         if gamma.ndim != 1 or gamma.size < 2:
             raise ValueError("a band needs at least 2 nonconformity scores")
-        if not np.isfinite(gamma).all():
-            raise ValueError("nonconformity scores must be finite")
-        if gamma.min() < 0.0 or gamma.max() > 1.0:
-            raise ValueError("nonconformity scores must lie in [0, 1]")
-        # neighbours are compared in place: np.diff's float temporary can
-        # land 4 KiB-aliased with the band and slow load_model by a third
-        if np.any(gamma[1:] < gamma[:-1]):
+        # one pass accepts a valid band: a NaN fails its neighbour
+        # comparison, and once sorted, both ends inside [0, 1] hold every
+        # score there. Neighbours are compared in place: np.diff's float
+        # temporary can land 4 KiB-aliased with the band and slow
+        # load_model by a third.
+        if not ((gamma[1:] >= gamma[:-1]).all()
+                and gamma[0] >= 0.0 and gamma[-1] <= 1.0):
+            # name the failure; with every score finite and inside [0, 1],
+            # only an unsorted neighbour pair is left
+            if not np.isfinite(gamma).all():
+                raise ValueError("nonconformity scores must be finite")
+            if gamma.min() < 0.0 or gamma.max() > 1.0:
+                raise ValueError("nonconformity scores must lie in [0, 1]")
             raise ValueError("nonconformity scores must be sorted ascending")
         if not (
             math.isfinite(self.theta_min)

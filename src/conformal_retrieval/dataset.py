@@ -5,7 +5,9 @@ references), presence masks saying which modalities each instance actually
 has, and a relevance map. Embeddings are 2-D finite float32 values, in
 files and in memory, and masks 2-D 0/1 values, each rule shared by file
 writer, file reader and MultimodalDataset, so a dataset loads back exactly
-as it was saved. Missing modalities are only masked, never zero vectors.
+as it was saved. load_dataset leaves the values to MultimodalDataset, so
+each loaded array is checked once. Missing modalities are only masked,
+never zero vectors.
 
 read_binary is the only file reader, parse_json the only JSON parser, and
 read_csv and write_csv the only CSV reader and writer, so an unreadable or
@@ -79,14 +81,18 @@ def check_count(value, name: str):
     return value
 
 
-def atomic_write_bytes(path, data: bytes):
-    '''Write bytes via a temp file in the same directory, then rename.'''
+def atomic_write_bytes(path, *chunks):
+    '''Write bytes-like chunks, in order, to a temp file in the same
+    directory, then rename it to path. Each chunk is written from its own
+    buffer, so a C-contiguous array is written without a copy. When a chunk
+    cannot be written, the temp file is removed and path is left as it was.'''
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -426,7 +432,7 @@ def read_mask_file(path) -> np.ndarray:
 
 def _write_matrix(path, magic, arr):
     header = _MATRIX_HEADER.pack(magic, FORMAT_VERSION, 0, *arr.shape)
-    atomic_write_bytes(path, header + arr.tobytes())
+    atomic_write_bytes(path, header, np.ascontiguousarray(arr))
 
 
 def _read_matrix(path, magic, dtype) -> np.ndarray:
@@ -685,14 +691,15 @@ def load_dataset(path) -> MultimodalDataset:
         for files, side in ((query_files, queries), (reference_files, references)):
             files.update(((mod, name), resolve(side, mod, at_space)) for mod in side)
     schema = ModalitySchema(query_mods, reference_mods, tuple(spaces), overrides)
-    query_embeddings = {key: read_embedding_file(file)
+    # headers and lengths are checked here, values once, by MultimodalDataset
+    query_embeddings = {key: _read_matrix(file, EMBEDDING_MAGIC, "<f4")
                         for key, file in query_files.items()}
-    reference_embeddings = {key: read_embedding_file(file)
+    reference_embeddings = {key: _read_matrix(file, EMBEDDING_MAGIC, "<f4")
                             for key, file in reference_files.items()}
 
     def read_mask(key, embeddings, mods):
         if manifest.get(key) is not None:
-            return read_mask_file(resolve(manifest, key, at_manifest))
+            return _read_matrix(resolve(manifest, key, at_manifest), MASK_MAGIC, np.uint8)
         # every space on a side has the side's row count; MultimodalDataset checks it
         rows = next(iter(embeddings.values())).shape[0]
         return np.ones((rows, len(mods)), dtype=bool)
@@ -717,14 +724,17 @@ def load_dataset(path) -> MultimodalDataset:
     else:
         raise DataFormatError(f"{path}: unknown relevance type {kind!r}")
 
-    return MultimodalDataset(
-        schema=schema,
-        query_embeddings=query_embeddings,
-        reference_embeddings=reference_embeddings,
-        query_mask=query_mask,
-        reference_mask=reference_mask,
-        relevance=relevance,
-    )
+    try:
+        return MultimodalDataset(
+            schema=schema,
+            query_embeddings=query_embeddings,
+            reference_embeddings=reference_embeddings,
+            query_mask=query_mask,
+            reference_mask=reference_mask,
+            relevance=relevance,
+        )
+    except DataFormatError as exc:  # its message names the array, not the file
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def save_dataset(dataset: MultimodalDataset, out_dir):

@@ -260,7 +260,8 @@ def save_model(model: CalibratedModel, path):
     holding theta_min, theta_max and sorted_gamma for every first-stage band
     in metadata order and then the second stage. The payload stores the
     exact bits, so load_model restores the model bit for bit; byte output
-    is deterministic.
+    is deterministic. Each band's scores are written from the band's own
+    buffer, so saving copies no band.
     '''
     first_stage = [
         {"query_modality": qmod, "reference_modality": rmod, "size": band.size}
@@ -275,12 +276,11 @@ def save_model(model: CalibratedModel, path):
     header = _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_FILE_VERSION, 0, len(meta))
     padding = bytes(-(len(header) + len(meta)) % 8)
     bands = [*model.first_stage.values(), model.second_stage]
-    payload = np.concatenate([
+    atomic_write_bytes(path, header, meta, padding, *(
         part
         for band in bands
-        for part in ((band.theta_min, band.theta_max), band.sorted_gamma)
-    ]).astype("<f8", copy=False).tobytes()
-    atomic_write_bytes(path, b"".join((header, meta, padding, payload)))
+        for part in (np.array((band.theta_min, band.theta_max), dtype="<f8"),
+                     np.ascontiguousarray(band.sorted_gamma, dtype="<f8"))))
 
 
 def _read_meta(block: bytes, path):

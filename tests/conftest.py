@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,21 @@ def brute_force_probability(band, theta, grid_step: float = 1e-4):
 @pytest.fixture
 def grid_sweep():
     return brute_force_probability
+
+
+@pytest.fixture
+def peak_allocation():
+    '''peak_allocation(fn): the peak bytes tracemalloc traces while fn()
+    runs, counted from the call.'''
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 @pytest.fixture

@@ -203,6 +203,28 @@ def damage_payload(edit):
     return damage
 
 
+def damage_second_stage(edit):
+    '''A model whose second-stage scores, a float64 array, are edited in
+    place by edit(scores).'''
+    def damage(data, model):
+        blob = model.read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", blob, 8)
+        size = json.loads(blob[16:16 + meta_len])["second_stage"]["size"]
+        scores = np.frombuffer(blob, "<f8", offset=len(blob) - 8 * size).copy()
+        edit(scores)
+        model.write_bytes(blob[:len(blob) - 8 * size] + scores.tobytes())
+    return damage
+
+
+def damage_data_file(name, raw):
+    '''A dataset file whose first payload bytes, after the 24-byte matrix
+    header, are raw.'''
+    def damage(data, model):
+        blob = (data / name).read_bytes()
+        (data / name).write_bytes(blob[:24] + raw + blob[24 + len(raw):])
+    return damage
+
+
 def one_score_first_band(doc):
     '''Sizes that leave the first band one score and hand the rest of its
     scores to the second stage, so the payload length still agrees.'''
@@ -268,12 +290,30 @@ class TestMalformedInputs:
          "nonconformity scores must be finite"),
         ("inspect", damage_payload(lambda values: [values[0]] * 2 + values[2:]),
          "theta_min < theta_max"),
+        ("inspect", damage_second_stage(lambda g: g.put(g.size // 2, math.nan)),
+         "nonconformity scores must be finite"),
+        ("inspect", damage_second_stage(lambda g: g.put(0, -math.inf)),
+         "nonconformity scores must be finite"),
+        ("inspect", damage_second_stage(lambda g: g.put(-1, math.inf)),
+         "nonconformity scores must be finite"),
+        ("inspect", damage_second_stage(
+            lambda g: g.put(g.size // 2, np.nextafter(g[g.size // 2 + 1], 2.0))),
+         "nonconformity scores must be sorted ascending"),
+        ("inspect", damage_second_stage(lambda g: g.put(-1, np.nextafter(1.0, 2.0))),
+         "nonconformity scores must lie in [0, 1]"),
+        ("calibrate", damage_data_file("query_a_s1.emb", struct.pack("<f", math.nan)),
+         "query embedding a/s1: not a 2-D matrix of finite float32 values"),
+        ("calibrate", damage_data_file("query_mask.msk", b"\x02"),
+         "query mask: not a 2-D matrix of 0s and 1s"),
     ], ids=["model-padding", "model-empty-fingerprint", "pair-space-key-without-colon",
             "space-entry-not-an-object", "space-covers-unknown-reference-modality",
             "repeated-reference-modality", "no-reference-modalities",
             "relevance-query-out-of-range", "nan-position", "position-rows-disagree",
             "mask-column-count", "zero-space-dim", "band-with-one-score",
-            "nan-band-score", "empty-band-range"])
+            "nan-band-score", "empty-band-range", "nan-mid-band",
+            "minus-inf-first-band-score", "plus-inf-last-band-score",
+            "unsorted-mid-band-pair", "sorted-band-past-one", "nan-embedding",
+            "stray-mask-byte"])
     def test_damaged_input_is_exit_2(self, pipeline_dirs, tmp_path, capsys,
                                      command, damage, message):
         data, model, _ = pipeline_dirs
@@ -655,6 +695,13 @@ class TestInspect:
         assert main(["retrieve", "--data", str(data), "--model", str(old),
                      "--k", "3", "--out", str(tmp_path / "r.csv")]) == 2
         assert "re-run calibrate" in capsys.readouterr().err
+
+
+def test_negative_zero_band_score_is_inspected(pipeline_dirs, capsys):
+    _, model, _ = pipeline_dirs
+    damage_second_stage(lambda g: g.put(0, -0.0))(None, model)
+    assert main(["inspect", "--model", str(model)]) == 0
+    assert "second stage" in capsys.readouterr().out
 
 
 class TestUsageErrors:

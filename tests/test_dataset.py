@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
+import conformal_retrieval.dataset as dataset_module
 from conformal_retrieval.dataset import (
     DataFormatError,
     ModalitySchema,
@@ -704,6 +705,69 @@ class TestManifestIO:
         (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DataFormatError):
             load_dataset(tmp_path / "data")
+
+
+class TestLoadChecks:
+    '''load_dataset checks each array's values once, in MultimodalDataset,
+    and a refusal names the manifest and the array.'''
+
+    def test_each_array_is_checked_once(self, tmp_path, monkeypatch):
+        save_dataset(tiny_dataset(), tmp_path / "data")
+        checked = []
+        for name in ("_embedding", "_mask"):
+            rule = getattr(dataset_module, name)
+            monkeypatch.setattr(dataset_module, name,
+                                lambda arr, where, rule=rule: checked.append(where)
+                                or rule(arr, where))
+        load_dataset(tmp_path / "data")
+        assert sorted(checked) == [
+            "query embedding a/s1", "query embedding b/s2", "query mask",
+            "reference embedding a/s1", "reference embedding b/s2", "reference mask"]
+
+    @pytest.mark.parametrize("name, raw, message", [
+        ("query_a_s1.emb", struct.pack("<f", math.nan),
+         "query embedding a/s1: not a 2-D matrix of finite float32 values"),
+        ("reference_mask.msk", b"\x02", "reference mask: not a 2-D matrix of 0s and 1s"),
+    ], ids=["nan-embedding", "stray-mask-byte"])
+    def test_bad_values_are_refused_naming_the_manifest(self, tmp_path, name, raw,
+                                                        message):
+        save_dataset(tiny_dataset(), tmp_path / "data")
+        path = tmp_path / "data" / name
+        blob = path.read_bytes()
+        path.write_bytes(blob[:24] + raw + blob[24 + len(raw):])  # first payload value
+        manifest = os.path.join(tmp_path / "data", "manifest.json")
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(tmp_path / "data")
+        assert str(info.value) == f"{manifest}: {message}"
+
+
+class TestAtomicWrite:
+    def test_chunks_are_written_in_order(self, tmp_path):
+        path = tmp_path / "out.bin"
+        atomic_write_bytes(path, b"ab", bytearray(b"cd"), memoryview(b"ef"),
+                           np.array([[1], [2]], dtype="<u2"))
+        assert path.read_bytes() == b"abcdef\x01\x00\x02\x00"
+
+    @pytest.mark.parametrize("chunk", [np.arange(4.0)[::2], "text"],
+                             ids=["strided-array", "str"])
+    def test_a_chunk_that_cannot_be_written_leaves_no_file(self, tmp_path, chunk):
+        with pytest.raises((TypeError, ValueError)):
+            atomic_write_bytes(tmp_path / "out.bin", b"head", chunk, b"tail")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_write_keeps_the_old_target(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(TypeError):
+            atomic_write_bytes(path, b"new", object())
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"old"
+
+    def test_matrix_files_are_written_in_row_order(self, tmp_path):
+        matrix = np.arange(6, dtype=np.float32).reshape(2, 3)
+        write_embedding_file(tmp_path / "c.emb", matrix)
+        write_embedding_file(tmp_path / "f.emb", np.asfortranarray(matrix))
+        assert (tmp_path / "c.emb").read_bytes() == (tmp_path / "f.emb").read_bytes()
 
 
 def test_failed_rename_leaves_no_file(tmp_path, monkeypatch):

@@ -691,6 +691,16 @@ def test_malformed_metadata_rejected(tmp_path, edit, message):
                  id="nan-score"),
     pytest.param([1.0, 1.0, 0.25, 0.5], "score range must be finite", id="empty-range"),
     pytest.param([1.0, 0.0, 0.25, 0.5], "score range must be finite", id="reversed-range"),
+    pytest.param([0.0, 1.0, 0.25, math.nan, 0.75], "nonconformity scores must be finite",
+                 id="nan-mid-band"),
+    pytest.param([0.0, 1.0, -math.inf, 0.5], "nonconformity scores must be finite",
+                 id="minus-inf-first"),
+    pytest.param([0.0, 1.0, 0.5, math.inf], "nonconformity scores must be finite",
+                 id="plus-inf-last"),
+    pytest.param([0.0, 1.0, 0.1, 0.3, 0.2, 0.4],
+                 "nonconformity scores must be sorted ascending", id="unsorted-mid-pair"),
+    pytest.param([0.0, 1.0, 0.25, 0.5, 1.5], r"nonconformity scores must lie in \[0, 1\]",
+                 id="sorted-past-one"),
 ])
 def test_damaged_band_rejected(tmp_path, second_stage, message):
     path = tmp_path / "m.bin"
@@ -702,6 +712,31 @@ def test_damaged_band_rejected(tmp_path, second_stage, message):
                      + struct.pack(f"<{len(second_stage)}d", *second_stage))
     with pytest.raises(DataFormatError, match=f"bad prediction band: {message}"):
         load_model(path)
+
+
+def test_negative_zero_first_score_is_accepted(tmp_path):
+    # -0.0 compares equal to 0.0, so it lies inside [0, 1]; the band keeps
+    # its bits
+    path = tmp_path / "m.bin"
+    save_model(tiny_model(), path)
+    path.write_bytes(path.read_bytes()[:-32] + struct.pack("<4d", 0.0, 1.0, -0.0, 0.5))
+    gamma = load_model(path).second_stage.sorted_gamma
+    assert gamma.tobytes() == struct.pack("<2d", -0.0, 0.5)
+
+
+def test_save_copies_no_band(tmp_path, peak_allocation):
+    # each band is written from its own buffer: a payload-sized copy (a
+    # concatenated payload or a joined file image) would show in the peak
+    rng = np.random.default_rng(0)
+    band = PredictionBand(-0.5, 0.5, np.sort(rng.random(300_000)))
+    model = CalibratedModel("f" * 64, Fuser.MEAN, {("a", "a"): band, ("a", "b"): band}, band)
+    payload = 3 * 8 * (band.size + 2)
+    assert payload >= 4 * 2**20
+    path = tmp_path / "m.bin"
+    assert peak_allocation(lambda: save_model(model, path)) < payload // 4
+    back = load_model(path)
+    assert all(band_bits(b) == band_bits(band)
+               for b in (*back.first_stage.values(), back.second_stage))
 
 
 def test_metadata_rewrite_keeps_a_valid_model(tmp_path):

@@ -9,7 +9,6 @@ comparisons, so a single flipped ulp could move a probability.
 import dataclasses
 import itertools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -135,7 +134,7 @@ class TestFloat32References:
                            for j in range(40)] for i in range(3)])
         assert grid.tobytes() == cells.tobytes()
 
-    def test_one_call_allocates_less_than_a_float64_copy(self):
+    def test_one_call_allocates_less_than_a_float64_copy(self, peak_allocation):
         # the stored float32 rows are scored in place, and a gathered id list
         # copies float32 rows only: a float64 copy of the reference block
         # (n x dim x 8 bytes) would show in the peak
@@ -145,13 +144,7 @@ class TestFloat32References:
         pair = ("a", "a")
         pairwise_score_table(ds, pair, [0], np.arange(n))  # builds the cached norms
         for refs in (np.arange(n), np.arange(1, n)):
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                pairwise_score_table(ds, pair, [1], refs)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            peak = peak_allocation(lambda: pairwise_score_table(ds, pair, [1], refs))
             assert peak < n * dim * 8, len(refs)
 
 
@@ -296,19 +289,13 @@ class TestCosineBounds:
         kth = np.sort(lower)[-10]
         assert np.count_nonzero(upper >= kth) < 40
 
-    def test_no_reference_row_is_copied(self):
+    def test_no_reference_row_is_copied(self, peak_allocation):
         # one float32 product over the stored rows: a copy of the n x dim
         # float32 block would show in the peak
         ds = generate(SynthConfig(4, 2000, ("a",), ("a",),
                                   (SynthSpace("s", 128, noise_sigma=0.3),), seed=5))
         cosine_bounds(ds, ("a", "a"), 0)  # builds the cached norms
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            cosine_bounds(ds, ("a", "a"), 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_allocation(lambda: cosine_bounds(ds, ("a", "a"), 1))
         assert peak < 2000 * 128 * 4 // 2
 
     def test_uncovered_pair_rejected(self, tiny_dataset):
