@@ -33,6 +33,8 @@ import numpy as np
 __all__ = [
     "DataFormatError",
     "check_count",
+    "checked_ids",
+    "validated_ids",
     "SharedSpace",
     "ModalitySchema",
     "RelevanceMap",
@@ -79,6 +81,35 @@ def check_count(value, name: str):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     return value
+
+
+def checked_ids(ids, n: int, what: str) -> np.ndarray:
+    '''ids as a 1-d intp array, possibly empty; ValueError naming what
+    unless every id is an integer in [0, n). Floats and bools are refused
+    rather than truncated to an id.'''
+    arr = np.asarray(ids)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} ids must be one flat list, got shape {arr.shape}")
+    if arr.size == 0:  # nothing to check, whatever dtype numpy gives []
+        return arr.astype(np.intp)
+    # numpy keeps Python ints that no 64-bit integer holds as objects
+    outside_int64 = arr.dtype.kind == "O" and all(type(v) is int for v in arr)
+    if arr.dtype.kind not in "iu" and not outside_int64:
+        raise ValueError(f"{what} ids must be integers, got dtype {arr.dtype}")
+    # seen unsigned, a negative id is past every n: one reduction checks both
+    if outside_int64 or arr.astype(np.intp, copy=False).view(np.uintp).max() >= n:
+        raise ValueError(f"{what} id out of range [0, {n})")
+    return arr.astype(np.intp, copy=False)
+
+
+def validated_ids(ids, n: int, what: str) -> np.ndarray:
+    '''checked_ids of a non-empty id list; None means every id.'''
+    if ids is None:
+        return np.arange(n)
+    arr = np.asarray(ids)
+    if arr.size == 0:
+        raise ValueError(f"need at least one {what} id")
+    return checked_ids(arr, n, what)
 
 
 def atomic_write_bytes(path, *chunks):

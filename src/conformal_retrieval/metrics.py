@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import write_json
-from .retrieval import check_k
+from .dataset import check_count, write_json
 
 __all__ = [
     "MetricsReport",
@@ -59,7 +58,7 @@ def ranking_metrics(results, relevance, ks) -> MetricsReport:
     Returns:
         MetricsReport with one value per cutoff.
     '''
-    ks = tuple(sorted({int(check_k(k, required=True)) for k in ks}))
+    ks = tuple(sorted({int(check_count(k, "k")) for k in ks}))
     if not ks:
         raise ValueError("need at least one cutoff k")
     if ks[-1] > relevance.n_references:

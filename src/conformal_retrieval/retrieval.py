@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataFormatError, check_count, read_csv, write_csv
-from .pipeline import check_compatible, score_grid, validated_ids
+from .dataset import (DataFormatError, check_count, read_csv, validated_ids,
+                      write_csv)
+from .pipeline import check_compatible, score_grid
 from .similarity import cosine_bounds, pairwise_score_table
 
 __all__ = [
@@ -70,19 +71,23 @@ def _check_alpha(value, name: str):
     return value
 
 
-def check_k(k, required=False):
-    '''k itself; ValueError unless k is an integer of at least 1 that is not
-    a bool, or None where k is optional.'''
-    if k is None and not required:
-        return k
-    return check_count(k, "k")
+def check_k(k):
+    '''k itself; ValueError unless k is None or an integer of at least 1
+    that is not a bool.'''
+    return k if k is None else check_count(k, "k")
 
 
-def _rank_rows(reference_ids, fused_row, prob_row, answerable_row, k):
-    return [
-        (int(reference_ids[j]), float(prob_row[j]), bool(~answerable_row[j]))
-        for j in _top(reference_ids, fused_row, k)
-    ]
+def _results(query_ids, reference_ids, order, reported, answerable, k) -> list:
+    '''One RetrievalResult per grid row: the row's best k references by
+    order (every one when k is None), best first, each with its reported
+    value and unanswerable flag.'''
+    results = []
+    for row, qi in enumerate(query_ids):
+        top = _top(reference_ids, order[row], k)
+        results.append(RetrievalResult(int(qi), list(zip(
+            reference_ids[top].tolist(), reported[row, top].tolist(),
+            (~answerable[row, top]).tolist()))))
+    return results
 
 
 def _ranked(model, dataset, query_index, reference_ids, k) -> RetrievalResult:
@@ -91,9 +96,7 @@ def _ranked(model, dataset, query_index, reference_ids, k) -> RetrievalResult:
     probs, fused, answerable = score_grid(model, dataset, [query_index], reference_ids)
     if reference_ids is None:
         reference_ids = np.arange(dataset.n_references)
-    return RetrievalResult(
-        int(query_index),
-        _rank_rows(reference_ids, fused[0], probs[0], answerable[0], k))
+    return _results([query_index], reference_ids, fused, probs, answerable, k)[0]
 
 
 def retrieve(model, dataset, query_index: int, k=None) -> RetrievalResult:
@@ -122,9 +125,10 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
     budget covering every reference the result is identical to exact
     retrieval; smaller budgets trade recall for speed. An alpha past the
     reference count is such a budget. References with no observable pair
-    at all stay out of the shortlist and join it, in index order, only when
-    k exceeds the answerable count, so every list has min(k, n_references)
-    entries and they rank flagged.
+    at all stay out of the shortlist. A union short of k means fewer than
+    k are answerable and the union holds them all; the query is then
+    ranked over every reference, as retrieve ranks it. So every list has
+    min(k, n_references) entries, the unanswerable last and flagged.
 
     Each pick screens, then refines. similarity.cosine_bounds bounds every
     reference's cosine with one float32 product; the references whose
@@ -143,7 +147,7 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
         k: Number of results wanted.
         alpha: Over-fetch factor, a finite number of at least 1, not a bool.
     '''
-    check_k(k, required=True)
+    check_count(k, "k")
     _check_alpha(alpha, "alpha")
     check_compatible(model, dataset)
     validated_ids([query_index], dataset.n_queries, "query")
@@ -168,12 +172,9 @@ def retrieve_shortlist(model, dataset, query_index: int, k: int,
         cand = np.flatnonzero(observed & (upper >= kth))
         values, _ = pairwise_score_table(dataset, (qmod, rmod), [query_index], cand)
         union[cand[_top(cand, values[0], take)]] = True
-    # short of k only when fewer than k are answerable: the union then holds
-    # them all, and the first unpicked ones, all unanswerable, fill it up; the
-    # count is a Python int so that a huge k does not overflow
-    short = k - int(np.count_nonzero(union))
-    union[np.flatnonzero(~union)[:max(short, 0)]] = True
-    return _ranked(model, dataset, query_index, np.flatnonzero(union), k)
+    picked = np.flatnonzero(union)
+    # picked.size is a Python int, so that a huge k does not overflow
+    return _ranked(model, dataset, query_index, None if picked.size < k else picked, k)
 
 
 def batch_retrieve(model, dataset, query_ids=None, k=None, mode: str = "exact",
@@ -200,7 +201,7 @@ def batch_retrieve(model, dataset, query_ids=None, k=None, mode: str = "exact",
         raise ValueError(f"unknown retrieval mode {mode!r}")
     check_count(workers, "workers")
     _check_alpha(shortlist_alpha, "shortlist_alpha")
-    check_k(k, required=mode == "shortlist")
+    check_count(k, "k") if mode == "shortlist" else check_k(k)
     ids = validated_ids(query_ids, dataset.n_queries, "query").tolist()
 
     def job(qi):
@@ -257,11 +258,7 @@ def heuristic_baseline(dataset, priority, query_ids=None, k=None) -> list:
         filled |= observed
     # the raw score both orders the row and is reported in place of a
     # probability
-    return [
-        RetrievalResult(int(qi), _rank_rows(refs, scores[row], scores[row],
-                                            filled[row], k))
-        for row, qi in enumerate(ids)
-    ]
+    return _results(ids, refs, scores, scores, filled, k)
 
 
 def _results_from_rows(rows, where) -> list:

@@ -9,11 +9,10 @@ caller can score exactly only the references the bounds leave in play.
 
 import numpy as np
 
-from .dataset import row_norms
+from .dataset import checked_ids, row_norms
 
 __all__ = [
     "cosine_bounds",
-    "cosine_table",
     "pairwise_score_table",
 ]
 
@@ -23,8 +22,7 @@ _U64 = 2.0 ** -53
 _TINY32 = 2.0 ** -149
 
 
-def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray,
-                 reference_norms=None) -> np.ndarray:
+def _cosine_table(query_rows, reference_rows, reference_norms) -> np.ndarray:
     '''Cosine similarity of every row pair, clamped to [-1, 1].
 
     Rows with zero norm score 0 against everything. The contraction goes
@@ -38,42 +36,32 @@ def cosine_table(query_rows: np.ndarray, reference_rows: np.ndarray,
     columns, numpy's buffer size, and is tested there; past it einsum
     splits each reduction, and a cell's last bit can follow the block shape.
 
-    Only the query block is widened to a float64 copy; float32 reference
-    rows are widened inside einsum's buffer. The reference row is outermost
-    so that each is widened once whatever the query count: with the query
-    row outermost, every query row would widen the whole reference block.
+    Only the query block is widened to a float64 copy; the reference rows
+    are widened inside einsum's buffer. The reference row is outermost so
+    that each is widened once whatever the query count: with the query row
+    outermost, every query row would widen the whole reference block.
 
     Args:
         query_rows / reference_rows: 2-D blocks with the same column count.
-        reference_norms: row_norms(reference_rows), when the caller keeps
-            them (MultimodalDataset.reference_norms); computed here when
-            None.
+        reference_norms: row_norms(reference_rows).
     '''
     a = np.asarray(query_rows, dtype=np.float64)
-    b = np.asarray(reference_rows)
-    if b.dtype != np.float32:
-        b = b.astype(np.float64, copy=False)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"expected matching 2-D blocks, got {a.shape} and {b.shape}")
-    b_norm = row_norms(b) if reference_norms is None else np.asarray(reference_norms)
-    if b_norm.shape != (len(b),):
-        raise ValueError(
-            f"expected {len(b)} reference norms, got shape {b_norm.shape}")
-    dots = np.einsum("jd,id->ji", b, a, optimize=False, dtype=np.float64).T
-    denom = row_norms(a)[:, None] * b_norm[None, :]
+    dots = np.einsum("jd,id->ji", reference_rows, a, optimize=False, dtype=np.float64).T
+    denom = row_norms(a)[:, None] * reference_norms[None, :]
     out = np.zeros(dots.shape)  # C order; the division reads the transpose
     np.divide(dots, denom, out=out, where=denom > 0.0)
     np.clip(out, -1.0, 1.0, out=out)
     return out
 
 
-def _index(ids: np.ndarray, n: int):
+def _index(ids, n: int, what: str):
     '''An index that takes the rows at ids: slice(None), a view, when ids
-    are every row 0..n-1 in order, and ids themselves, a gather, otherwise.'''
+    are every row 0..n-1 in order, and otherwise the ids, a gather, once
+    checked_ids has checked them.'''
+    ids = np.asarray(ids)
     if ids.size == n and np.array_equal(ids, np.arange(n)):
         return slice(None)
-    return ids
+    return checked_ids(ids, n, what)
 
 
 def _keys(dataset, pair) -> tuple:
@@ -91,13 +79,14 @@ def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> tuple:
 
     One index per side, a view when the ids are every row in order and a
     gather otherwise, takes that side's float32 rows and mask column, and
-    the reference side's kept norms. One cosine_table call scores the rows;
-    no reference row is copied to float64.
+    the reference side's kept norms. One _cosine_table call scores the
+    rows; no reference row is copied to float64.
 
     Args:
         dataset: A MultimodalDataset.
         pair: (query modality, reference modality); must be scoreable.
-        query_ids / reference_ids: Index sequences into each side.
+        query_ids / reference_ids: Integer ids into each side, each in
+            [0, n) for that side; an empty list is an empty block.
 
     Returns:
         (values, observed): the cosine grid and the boolean grid that is
@@ -106,11 +95,11 @@ def pairwise_score_table(dataset, pair, query_ids, reference_ids) -> tuple:
     '''
     qmod, rmod = pair
     qkey, rkey = _keys(dataset, pair)
-    qi = _index(np.asarray(query_ids, dtype=np.intp), dataset.n_queries)
-    ri = _index(np.asarray(reference_ids, dtype=np.intp), dataset.n_references)
-    values = cosine_table(dataset.query_embeddings[qkey][qi],
-                          dataset.reference_embeddings[rkey][ri],
-                          dataset.reference_norms[rkey][ri])
+    qi = _index(query_ids, dataset.n_queries, "query")
+    ri = _index(reference_ids, dataset.n_references, "reference")
+    values = _cosine_table(dataset.query_embeddings[qkey][qi],
+                           dataset.reference_embeddings[rkey][ri],
+                           dataset.reference_norms[rkey][ri])
     q_present = dataset.query_mask[qi, dataset.schema.query_modalities.index(qmod)]
     r_present = dataset.reference_mask[ri, dataset.schema.reference_modalities.index(rmod)]
     return values, q_present[:, None] & r_present[None, :]
@@ -139,7 +128,8 @@ def cosine_bounds(dataset, pair, query_index: int) -> tuple:
     Args:
         dataset: A MultimodalDataset.
         pair: (query modality, reference modality); must be scoreable.
-        query_index: The query row, which need not observe the modality.
+        query_index: The query row, an integer in [0, n_queries), which
+            need not observe the modality.
 
     Returns:
         (lower, upper): float64 arrays of n_references bounds, whatever
@@ -147,7 +137,8 @@ def cosine_bounds(dataset, pair, query_index: int) -> tuple:
     '''
     qkey, rkey = _keys(dataset, pair)
     rows = dataset.reference_embeddings[rkey]
-    query = dataset.query_embeddings[qkey][[query_index]]
+    query = dataset.query_embeddings[qkey][
+        checked_ids([query_index], dataset.n_queries, "query")]
     d = rows.shape[1]
     gamma = d * _U32 / (1.0 - d * _U32) + d * _U64 / (1.0 - d * _U64)
     margin = 1.0 + 2.0 ** -20

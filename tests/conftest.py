@@ -10,9 +10,10 @@ from conformal_retrieval.dataset import (
     MultimodalDataset,
     RelevanceMap,
     SharedSpace,
+    row_norms,
 )
 from conformal_retrieval.pipeline import Fuser
-from conformal_retrieval.similarity import cosine_table
+from conformal_retrieval.similarity import _cosine_table
 
 
 def oracle_cell(model, dataset, qi, ri):
@@ -30,9 +31,10 @@ def oracle_cell(model, dataset, qi, ri):
                                     and dataset.reference_mask[ri, j]):
                 continue
             space = schema.space_for(qmod, rmod).name
-            theta = cosine_table(
-                dataset.query_embeddings[(qmod, space)][qi:qi + 1],
-                dataset.reference_embeddings[(rmod, space)][ri:ri + 1])[0, 0]
+            ref = dataset.reference_embeddings[(rmod, space)][ri:ri + 1]
+            theta = _cosine_table(
+                dataset.query_embeddings[(qmod, space)][qi:qi + 1], ref,
+                row_norms(ref))[0, 0]
             values.append(conformal_probability(band, float(theta)))
     if not values:
         return 0.0, -math.inf, False

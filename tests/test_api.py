@@ -141,17 +141,16 @@ def test_csv_is_read_and_text_written_in_one_place_each():
                                                    "dataset.write_json"]
 
 
-def test_results_are_built_in_three_places():
-    # exact and shortlist retrieval share _ranked; the reader and the
-    # raw-score baseline build their own
+def test_results_are_built_in_two_places():
+    # exact and shortlist retrieval and the raw-score baseline share
+    # _results; the reader builds its own
     assert callers(None, {"RetrievalResult"}) == [
-        "retrieval._ranked", "retrieval._results_from_rows",
-        "retrieval.heuristic_baseline"]
+        "retrieval._results", "retrieval._results_from_rows"]
 
 
 def test_rows_are_scored_in_one_place():
     # viewed and gathered id lists take the same route to one kernel call
-    assert callers(None, {"cosine_table"}) == ["similarity.pairwise_score_table"]
+    assert callers(None, {"_cosine_table"}) == ["similarity.pairwise_score_table"]
 
 
 def test_the_shortlist_screen_has_one_caller():

@@ -284,8 +284,9 @@ class TestShortlist:
             assert exact.ranked[ranked_ids.index(entry[0])] == entry
 
     def test_every_list_has_min_k_and_reference_count_entries(self):
-        # at the smallest budget a union short of k is filled from the
-        # unanswerable tail, so no list comes back short
+        # at the smallest budget a union short of k is ranked as exact
+        # retrieval ranks it, unanswerable tail included, so no list comes
+        # back short
         ds = synth_dataset(seed=3, query_dropout={"a": 0.5, "b": 0.5},
                            reference_dropout={"a": 0.5, "b": 0.5})
         model = fit_model(ds, list(range(12)))
@@ -294,6 +295,8 @@ class TestShortlist:
             for qi in range(12, 30):
                 got = retrieve_shortlist(model, ds, qi, k=k, alpha=1.0)
                 assert len(got.ranked) == min(k, ds.n_references)
+                if any(un for _, _, un in got.ranked):
+                    assert got.ranked == retrieve(model, ds, qi, k=k).ranked
                 flagged += sum(un for _, _, un in got.ranked)
         assert flagged > 0
 

@@ -16,8 +16,8 @@ import pytest
 
 from conformal_retrieval.dataset import row_norms
 from conformal_retrieval.similarity import (
+    _cosine_table,
     cosine_bounds,
-    cosine_table,
     pairwise_score_table,
 )
 from conformal_retrieval.synthgen import SynthConfig, SynthSpace, generate
@@ -27,7 +27,7 @@ def cosine_similarity(u, v) -> float:
     '''Cosine of two vectors, scored as a 1x1 block.'''
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    return float(cosine_table(u[None, :], v[None, :])[0, 0])
+    return float(_cosine_table(u[None, :], v[None, :], row_norms(v[None, :]))[0, 0])
 
 
 class TestCosineSimilarity:
@@ -54,7 +54,7 @@ class TestCosineSimilarity:
                           else cosine_similarity(q[a], r[b])
                           for b in range(7)] for a in range(6)])
         assert np.count_nonzero(want) == 4 * 4
-        assert cosine_table(q, r).tobytes() == want.tobytes()
+        assert _cosine_table(q, r, row_norms(r)).tobytes() == want.tobytes()
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(42)
@@ -69,14 +69,6 @@ class TestCosineSimilarity:
             u = rng.standard_normal(9)
             assert -1.0 <= cosine_similarity(u, u) <= 1.0
             assert cosine_similarity(u, u) == 1.0 or cosine_similarity(u, u) < 1.0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_table(np.ones((1, 2)), np.ones((1, 3)))
-        with pytest.raises(ValueError):
-            cosine_table(np.ones(2), np.ones(2))
-        with pytest.raises(ValueError, match="reference norms"):
-            cosine_table(np.ones((1, 2)), np.ones((3, 2)), np.ones(2))
 
 
 def widened_cosine(q, r):
@@ -94,8 +86,8 @@ def widened_cosine(q, r):
 
 
 class TestFloat32References:
-    '''Float32 reference rows are widened inside einsum, not copied; every
-    cell keeps the bits of the float64 route.'''
+    '''Reference rows are widened inside einsum, not copied; every cell
+    keeps the bits of the float64 route, with float32 or float64 rows.'''
 
     @pytest.mark.parametrize("n_queries, n_refs, dim",
                              list(itertools.product((1, 3, 64), (1, 5, 1000),
@@ -111,11 +103,10 @@ class TestFloat32References:
             r[0] = 0.0
         want = widened_cosine(q, r).tobytes()
         r64 = r.astype(np.float64)
-        norms = np.sqrt(np.einsum("id,id->i", r64, r64, optimize=False))
-        assert cosine_table(q, r).tobytes() == want
-        assert cosine_table(q, r, norms).tobytes() == want
-        assert cosine_table(q, r64).tobytes() == want
-        assert cosine_table(q.astype(np.float64), r).tobytes() == want
+        norms = row_norms(r)
+        assert _cosine_table(q, r, norms).tobytes() == want
+        assert _cosine_table(q, r64, row_norms(r64)).tobytes() == want
+        assert _cosine_table(q.astype(np.float64), r, norms).tobytes() == want
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_block_invariance_holds_at_8192_columns(self, dtype):
@@ -126,11 +117,10 @@ class TestFloat32References:
         rng = np.random.default_rng(8192)
         q = rng.standard_normal((3, 8192)).astype(dtype)
         r = rng.standard_normal((40, 8192)).astype(dtype)
-        # the float32 rows are scored with kept norms, as the dataset keeps them
-        norms = row_norms(r) if dtype is np.float32 else None
-        grid = cosine_table(q, r, norms)
-        cells = np.array([[cosine_table(q[i:i + 1], r[j:j + 1],
-                                        None if norms is None else norms[j:j + 1])[0, 0]
+        # the rows are scored with kept norms, as the dataset keeps them
+        norms = row_norms(r)
+        grid = _cosine_table(q, r, norms)
+        cells = np.array([[_cosine_table(q[i:i + 1], r[j:j + 1], norms[j:j + 1])[0, 0]
                            for j in range(40)] for i in range(3)])
         assert grid.tobytes() == cells.tobytes()
 
@@ -164,14 +154,15 @@ class TestPairwiseScoreTable:
         rng = np.random.default_rng(42)
         q = rng.standard_normal((50, 16))
         r = rng.standard_normal((80, 16))
-        table = cosine_table(q, r)
+        table = _cosine_table(q, r, row_norms(r))
         sampled = rng.integers(0, 50, size=60), rng.integers(0, 80, size=60)
         for a, b in zip(*sampled):
             assert table[a, b] == cosine_similarity(q[a], r[b])
         # a row block against a reference subset scores the same bits
         refs = [3, 7, 50, 79]
-        np.testing.assert_array_equal(cosine_table(q[10:20], r[refs]),
-                                      table[10:20][:, refs])
+        np.testing.assert_array_equal(
+            _cosine_table(q[10:20], r[refs], row_norms(r[refs])),
+            table[10:20][:, refs])
 
     def test_full_range_scores_the_bits_of_a_gather(self):
         # ids 0..n-1 are scored on the stored rows, any other list on a
@@ -205,6 +196,42 @@ class TestPairwiseScoreTable:
     def test_uncovered_pair_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):
             pairwise_score_table(tiny_dataset, ("a", "b"), [0], [0])
+
+
+def five_by_seven():
+    return generate(SynthConfig(5, 7, ("a",), ("a",),
+                                (SynthSpace("s", 4, noise_sigma=0.3),), seed=2))
+
+
+class TestIdsAreChecked:
+    '''Both public scoring functions refuse an id that names no row, naming
+    the side, rather than wrapping it, truncating it or raising IndexError.'''
+
+    @pytest.mark.parametrize("query_ids, reference_ids, side", [
+        pytest.param([-1], [-2, 0], "query", id="negative-query"),
+        pytest.param([0], [-2, 0], "reference", id="negative-reference"),
+        pytest.param([0.5], [0], "query", id="float-query"),
+        pytest.param([True], [0], "query", id="bool-query"),
+        pytest.param([99], [0], "query", id="query-past-the-end"),
+        pytest.param([0], [7], "reference", id="reference-past-the-end"),
+        pytest.param([[0]], [0], "query", id="nested-query"),
+    ])
+    def test_score_table(self, query_ids, reference_ids, side):
+        with pytest.raises(ValueError, match=side):
+            pairwise_score_table(five_by_seven(), ("a", "a"), query_ids, reference_ids)
+
+    def test_an_empty_list_is_an_empty_block(self):
+        ds = five_by_seven()
+        for empty in ([], np.array([], dtype=np.intp)):
+            values, observed = pairwise_score_table(ds, ("a", "a"), [0], empty)
+            assert values.shape == observed.shape == (1, 0)
+            values, observed = pairwise_score_table(ds, ("a", "a"), empty, [0])
+            assert values.shape == observed.shape == (0, 1)
+
+    @pytest.mark.parametrize("query_index", [-1, 99, True, 0.5])
+    def test_bounds(self, query_index):
+        with pytest.raises(ValueError, match="query"):
+            cosine_bounds(five_by_seven(), ("a", "a"), query_index)
 
 
 class TestSimilarityMatrix:

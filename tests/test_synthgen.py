@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from conformal_retrieval.dataset import MultimodalDataset
+from conformal_retrieval.dataset import MultimodalDataset, row_norms
 from conformal_retrieval.retrieval import heuristic_baseline
-from conformal_retrieval.similarity import cosine_table
+from conformal_retrieval.similarity import _cosine_table
 from conformal_retrieval.synthgen import SynthConfig, SynthSpace, generate
 
 
@@ -85,8 +85,9 @@ class TestGenerate:
         )
         ds = generate(config)
         for mod, space in (("a", "s1"), ("b", "s2")):
-            scores = cosine_table(ds.query_embeddings[(mod, space)],
-                                  ds.reference_embeddings[(mod, space)])
+            refs = ds.reference_embeddings[(mod, space)]
+            scores = _cosine_table(ds.query_embeddings[(mod, space)], refs,
+                                   row_norms(refs))
             for q in range(ds.n_queries):
                 best = int(np.argmax(scores[q]))
                 assert best in ds.relevance.relevant[q]
@@ -105,8 +106,9 @@ class TestGenerate:
                                    reference_modalities=("b",))),
             )
             ds = generate(config)
-            scores = cosine_table(ds.query_embeddings[("a", "s1")],
-                                  ds.reference_embeddings[("a", "s1")])
+            refs = ds.reference_embeddings[("a", "s1")]
+            scores = _cosine_table(ds.query_embeddings[("a", "s1")], refs,
+                                   row_norms(refs))
             hits = sum(
                 int(np.argmax(scores[q])) in ds.relevance.relevant[q]
                 for q in range(ds.n_queries)
@@ -169,10 +171,11 @@ class TestGenerate:
                     SynthSpace("s2", 12, noise_sigma=0.3, query_modalities=("b",),
                                reference_modalities=("b",))),
         )
-        low = cosine_table(generate(plain).query_embeddings[("a", "s1")],
-                           generate(plain).reference_embeddings[("a", "s1")])
-        high = cosine_table(generate(shifted).query_embeddings[("a", "s1")],
-                            generate(shifted).reference_embeddings[("a", "s1")])
+        low, high = (
+            _cosine_table(ds.query_embeddings[("a", "s1")],
+                          ds.reference_embeddings[("a", "s1")],
+                          row_norms(ds.reference_embeddings[("a", "s1")]))
+            for ds in (generate(plain), generate(shifted)))
         assert high.mean() > low.mean() + 0.3
         assert high.min() > low.min()
 
