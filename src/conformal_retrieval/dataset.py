@@ -3,11 +3,12 @@
 A dataset couples per-space embedding matrices for both sides (queries and
 references), presence masks saying which modalities each instance actually
 has, and a relevance map. Embeddings are 2-D finite float32 values, in
-files and in memory, and masks 2-D 0/1 values, each rule shared by file
-writer, file reader and MultimodalDataset, so a dataset loads back exactly
-as it was saved. load_dataset leaves the values to MultimodalDataset, so
-each loaded array is checked once. Missing modalities are only masked,
-never zero vectors.
+files and in memory, and masks 2-D 0/1 values. MultimodalDataset applies
+both rules, once per array, however the dataset was built. save_dataset
+and load_dataset are the only writer and reader of .emb and .msk files:
+one writes the checked arrays as they are, the other leaves the values to
+MultimodalDataset, so a dataset loads back exactly as it was saved.
+Missing modalities are only masked, never zero vectors.
 
 read_binary is the only file reader, parse_json the only JSON parser, and
 read_csv and write_csv the only CSV reader and writer, so an unreadable or
@@ -49,10 +50,6 @@ __all__ = [
     "unpack_header",
     "write_csv",
     "read_csv",
-    "write_embedding_file",
-    "read_embedding_file",
-    "write_mask_file",
-    "read_mask_file",
     "write_relevance_pairs",
     "read_relevance_pairs",
     "read_positions",
@@ -422,10 +419,6 @@ def _own_rows(arr, given) -> np.ndarray:
     return rows
 
 
-# ---------------------------------------------------------------------------
-# Binary files
-# ---------------------------------------------------------------------------
-
 def _embedding(matrix, where) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused below
         arr = np.asarray(matrix, dtype=np.float32)
@@ -442,28 +435,13 @@ def _mask(mask, where) -> np.ndarray:
     return present
 
 
-def write_embedding_file(path, matrix):
-    '''Serialize a 2-D matrix as float32 little-endian with a fixed header.'''
-    _write_matrix(path, EMBEDDING_MAGIC, _embedding(matrix, path).astype("<f4", copy=False))
-
-
-def read_embedding_file(path) -> np.ndarray:
-    '''The float32 matrix an embedding file holds. Rejects malformed files.'''
-    return _embedding(_read_matrix(path, EMBEDDING_MAGIC, "<f4"), path)
-
-
-def write_mask_file(path, mask):
-    '''Serialize a presence mask as one byte per cell (0 or 1).'''
-    _write_matrix(path, MASK_MAGIC, _mask(mask, path).astype(np.uint8))
-
-
-def read_mask_file(path) -> np.ndarray:
-    return _mask(_read_matrix(path, MASK_MAGIC, np.uint8), path)
-
+# ---------------------------------------------------------------------------
+# Binary files
+# ---------------------------------------------------------------------------
 
 def _write_matrix(path, magic, arr):
     header = _MATRIX_HEADER.pack(magic, FORMAT_VERSION, 0, *arr.shape)
-    atomic_write_bytes(path, header, np.ascontiguousarray(arr))
+    atomic_write_bytes(path, header, arr)
 
 
 def _read_matrix(path, magic, dtype) -> np.ndarray:
@@ -723,10 +701,9 @@ def load_dataset(path) -> MultimodalDataset:
             files.update(((mod, name), resolve(side, mod, at_space)) for mod in side)
     schema = ModalitySchema(query_mods, reference_mods, tuple(spaces), overrides)
     # headers and lengths are checked here, values once, by MultimodalDataset
-    query_embeddings = {key: _read_matrix(file, EMBEDDING_MAGIC, "<f4")
-                        for key, file in query_files.items()}
-    reference_embeddings = {key: _read_matrix(file, EMBEDDING_MAGIC, "<f4")
-                            for key, file in reference_files.items()}
+    query_embeddings, reference_embeddings = (
+        {key: _read_matrix(file, EMBEDDING_MAGIC, "<f4") for key, file in files.items()}
+        for files in (query_files, reference_files))
 
     def read_mask(key, embeddings, mods):
         if manifest.get(key) is not None:
@@ -797,10 +774,13 @@ def save_dataset(dataset: MultimodalDataset, out_dir):
         spaces.append(entry)
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
+    # MultimodalDataset checked every array once and keeps its rows in C order
     for fname, matrix in files.items():
-        write_embedding_file(os.path.join(out_dir, fname), matrix)
-    write_mask_file(os.path.join(out_dir, "query_mask.msk"), dataset.query_mask)
-    write_mask_file(os.path.join(out_dir, "reference_mask.msk"), dataset.reference_mask)
+        _write_matrix(os.path.join(out_dir, fname), EMBEDDING_MAGIC,
+                      matrix.astype("<f4", copy=False))
+    for side in ("query", "reference"):
+        _write_matrix(os.path.join(out_dir, f"{side}_mask.msk"), MASK_MAGIC,
+                      getattr(dataset, f"{side}_mask").astype(np.uint8))
     write_relevance_pairs(os.path.join(out_dir, "relevance.csv"), dataset.relevance)
     manifest = {
         "version": FORMAT_VERSION,

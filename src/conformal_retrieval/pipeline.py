@@ -13,6 +13,7 @@ later scores.
 '''
 
 import json
+import numbers
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -124,7 +125,8 @@ def fit_model(dataset, calibration_ids, fuser=Fuser.MEAN,
         labels = labels.ravel()
     else:
         ratio, seed = negative_subsample
-        if isinstance(ratio, (bool, np.bool_)) or not 0.0 <= ratio <= 1.0:
+        if (isinstance(ratio, (bool, np.bool_)) or not isinstance(ratio, numbers.Real)
+                or not 0.0 <= ratio <= 1.0):
             raise ValueError(
                 f"negative subsample ratio must be a number in [0, 1], got {ratio!r}")
         rng = np.random.default_rng(seed)

@@ -237,6 +237,10 @@ def heuristic_baseline(dataset, priority, query_ids=None, k=None) -> list:
         List of RetrievalResult whose middle tuple element is the raw
         score that produced the rank, not a calibrated probability.
     '''
+    priority = list(priority)
+    for pair in priority:
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ValueError(f"priority entry {pair!r} is not a modality pair")
     priority = [tuple(pair) for pair in priority]
     if not priority:
         raise ValueError("priority must name at least one modality pair")

@@ -135,6 +135,12 @@ def test_inputs_are_read_in_one_place():
     assert callers(None, {"open"}) == ["dataset.read_binary"]
 
 
+def test_matrix_files_are_written_and_read_in_one_place():
+    # each calls once for embeddings and once for masks
+    assert sorted(set(callers(None, {"_write_matrix"}))) == ["dataset.save_dataset"]
+    assert sorted(set(callers(None, {"_read_matrix"}))) == ["dataset.load_dataset"]
+
+
 def test_csv_is_read_and_text_written_in_one_place_each():
     assert callers("csv", {"reader"}) == ["dataset.read_csv"]
     assert callers(None, {"atomic_write_text"}) == ["dataset.write_csv",

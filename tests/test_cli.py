@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conformal_retrieval.cli import main
-from conformal_retrieval.dataset import load_dataset, write_mask_file
+from conformal_retrieval.dataset import load_dataset
 from conformal_retrieval.pipeline import load_model
 from conformal_retrieval.retrieval import read_results_csv
 
@@ -279,8 +279,8 @@ class TestMalformedInputs:
          "query_id 30 outside"),
         ("calibrate", damage_positions("0,nan,0\n", 30), "coordinates must be finite"),
         ("calibrate", damage_positions("0,0,0\n", 29), "query count disagrees"),
-        ("calibrate", lambda data, model: write_mask_file(
-            data / "query_mask.msk", np.ones((30, 3), dtype=bool)),
+        ("calibrate", lambda data, model: (data / "query_mask.msk").write_bytes(
+            b"A2AM" + struct.pack("<HHQQ", 1, 0, 30, 3) + b"\x01" * 90),
          "query mask must be"),
         ("calibrate", damage_manifest(lambda m: set_in(m, ["spaces", 0, "dim"], 0)),
          "dim must be >= 1"),

@@ -1,10 +1,11 @@
 '''
 Unit tests for the dataset model and its on-disk formats.
 
-The embedding and mask payload bytes are frozen against the published
-layout: little-endian headers (magic, version, dtype/pad, rows, columns)
-followed by a row-major payload. A 1x2 float32 matrix must serialize to
-exactly 32 bytes.
+The embedding and mask payload bytes that save_dataset writes are frozen
+against the published layout: little-endian headers (magic, version,
+dtype/pad, rows, columns) followed by a row-major payload. A 1x2 float32
+matrix must serialize to exactly 32 bytes. load_dataset is the one reader
+of those files, so each malformed file is refused through it.
 '''
 
 import dataclasses
@@ -28,8 +29,6 @@ from conformal_retrieval.dataset import (
     atomic_write_bytes,
     load_dataset,
     parse_json,
-    read_embedding_file,
-    read_mask_file,
     read_csv,
     read_positions,
     read_relevance_pairs,
@@ -39,9 +38,7 @@ from conformal_retrieval.dataset import (
     schema_fingerprint,
     split_queries,
     write_csv,
-    write_embedding_file,
     write_json,
-    write_mask_file,
     write_relevance_pairs,
 )
 
@@ -73,103 +70,105 @@ def tiny_dataset():
     )
 
 
+def one_space_dataset(query_rows, query_mask=None):
+    '''A dataset of one space "s" whose query modality "m0" has
+    query_rows, saved as query_m0_s.emb. query_mask has one column per
+    query modality "m0", "m1", ... (default: one column, all present); the
+    one reference row is all 1s.'''
+    rows = np.asarray(query_rows)
+    if query_mask is None:
+        query_mask = np.ones((len(rows), 1), dtype=bool)
+    mods = tuple(f"m{i}" for i in range(np.shape(query_mask)[1]))
+    return MultimodalDataset(
+        ModalitySchema(mods, ("r",), (SharedSpace("s", rows.shape[1], ("m0",), ("r",)),)),
+        {("m0", "s"): rows}, {("r", "s"): np.ones((1, rows.shape[1]))},
+        query_mask, np.ones((1, 1), dtype=bool),
+        RelevanceMap(len(rows), 1, (frozenset(),) * len(rows)))
+
+
+def saved_file(root, dataset, name):
+    '''The path of file name after save_dataset(dataset, root).'''
+    save_dataset(dataset, root)
+    return root / name
+
+
+EMB_HEADER_1X2 = b"A2AE" + struct.pack("<HBBQQ", 1, 0, 0, 1, 2)
+
+
 class TestEmbeddingFile:
+    '''The .emb files save_dataset writes and load_dataset reads.'''
+
     def test_frozen_byte_layout(self, tmp_path):
-        path = tmp_path / "m.emb"
-        write_embedding_file(path, np.array([[0.5, -1.0]]))
-        blob = path.read_bytes()
-        header = b"A2AE" + struct.pack("<HBBQQ", 1, 0, 0, 1, 2)
+        path = saved_file(tmp_path, one_space_dataset([[0.5, -1.0]]), "query_m0_s.emb")
         payload = np.array([[0.5, -1.0]], dtype="<f4").tobytes()
-        assert blob == header + payload
-        assert len(blob) == 32
+        assert path.read_bytes() == EMB_HEADER_1X2 + payload
+        assert len(EMB_HEADER_1X2 + payload) == 32
 
     def test_round_trip_is_exact_at_float32(self, tmp_path):
-        rng = np.random.default_rng(42)
-        matrix = rng.standard_normal((17, 5))
-        path = tmp_path / "m.emb"
-        write_embedding_file(path, matrix)
-        back = read_embedding_file(path)
+        matrix = np.random.default_rng(42).standard_normal((17, 5))
+        save_dataset(one_space_dataset(matrix), tmp_path)
+        back = load_dataset(tmp_path).query_embeddings[("m0", "s")]
         assert back.dtype == np.float32
-        np.testing.assert_array_equal(back, matrix.astype(np.float32))
+        assert back.tobytes() == matrix.astype(np.float32).tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "m.emb"
-        write_embedding_file(path, np.zeros((1, 2)))
-        blob = bytearray(path.read_bytes())
-        blob[:4] = b"XXXX"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(DataFormatError):
-            read_embedding_file(path)
+        path = saved_file(tmp_path, one_space_dataset(np.zeros((1, 2))), "query_m0_s.emb")
+        path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+        with pytest.raises(DataFormatError, match="bad magic b'XXXX'"):
+            load_dataset(tmp_path)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "m.emb"
-        write_embedding_file(path, np.zeros((2, 2)))
+        path = saved_file(tmp_path, one_space_dataset(np.zeros((2, 2))), "query_m0_s.emb")
         path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(DataFormatError):
-            read_embedding_file(path)
+        with pytest.raises(DataFormatError, match="payload is 13 bytes, header promises 16"):
+            load_dataset(tmp_path)
 
     def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "m.emb"
-        write_embedding_file(path, np.zeros((1, 2)))
-        blob = bytearray(path.read_bytes())
-        blob[4:6] = struct.pack("<H", 9)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(DataFormatError):
-            read_embedding_file(path)
+        path = saved_file(tmp_path, one_space_dataset(np.zeros((1, 2))), "query_m0_s.emb")
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<H", 9) + blob[6:])
+        with pytest.raises(DataFormatError, match="unsupported version 9"):
+            load_dataset(tmp_path)
 
     def test_non_finite_payload_rejected(self, tmp_path):
-        path = tmp_path / "m.emb"
-        header = b"A2AE" + struct.pack("<HBBQQ", 1, 0, 0, 1, 2)
-        payload = np.array([[np.nan, 0.0]], dtype="<f4").tobytes()
-        path.write_bytes(header + payload)
-        with pytest.raises(DataFormatError):
-            read_embedding_file(path)
+        path = saved_file(tmp_path, one_space_dataset(np.zeros((1, 2))), "query_m0_s.emb")
+        path.write_bytes(EMB_HEADER_1X2 + np.array([[np.nan, 0.0]], dtype="<f4").tobytes())
+        with pytest.raises(DataFormatError,
+                           match="query embedding m0/s: not a 2-D matrix of finite float32"):
+            load_dataset(tmp_path)
 
-    def test_write_rejects_nan(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_embedding_file(tmp_path / "m.emb", np.array([[np.inf, 0.0]]))
-
-    def test_write_refuses_values_past_float32(self, tmp_path):
-        # finite at float64, inf once cast to the file's float32
-        path = tmp_path / "m.emb"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DataFormatError, match="finite float32"):
-                write_embedding_file(path, np.array([[1e300, 1.0]]))
-        assert not path.exists()
-
-
-    def test_zero_columns_round_trip(self, tmp_path):
-        write_embedding_file(tmp_path / "e.emb", np.zeros((3, 0)))
-        assert read_embedding_file(tmp_path / "e.emb").shape == (3, 0)
+    @pytest.mark.parametrize("rows, message", [
+        (1, r"query embedding m0/s has shape \(1, 0\), expected \(1, 2\)"),
+        (2**64 - 1, "cannot hold"),
+    ], ids=["dataset-rows", "past-any-array"])
+    def test_zero_column_file_is_refused(self, tmp_path, rows, message):
+        # rows x 0 passes the payload length check at any row count
+        path = saved_file(tmp_path, one_space_dataset(np.zeros((1, 2))), "query_m0_s.emb")
+        path.write_bytes(b"A2AE" + struct.pack("<HBBQQ", 1, 0, 0, rows, 0))
+        with pytest.raises(DataFormatError, match=message):
+            load_dataset(tmp_path)
 
 
 class TestMaskFile:
+    '''The .msk files save_dataset writes and load_dataset reads.'''
+
     def test_frozen_byte_layout(self, tmp_path):
-        path = tmp_path / "m.msk"
-        write_mask_file(path, np.array([[1, 0], [1, 1]], dtype=bool))
+        ds = one_space_dataset(np.zeros((2, 1)), np.array([[1, 0], [1, 1]], dtype=bool))
+        path = saved_file(tmp_path, ds, "query_mask.msk")
         header = b"A2AM" + struct.pack("<HHQQ", 1, 0, 2, 2)
         assert path.read_bytes() == header + b"\x01\x00\x01\x01"
 
     def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        mask = rng.random((9, 4)) < 0.5
-        path = tmp_path / "m.msk"
-        write_mask_file(path, mask)
-        np.testing.assert_array_equal(read_mask_file(path), mask)
-
-    def test_write_refuses_values_other_than_0_and_1(self, tmp_path):
-        path = tmp_path / "m.msk"
-        with pytest.raises(DataFormatError, match="0s and 1s"):
-            write_mask_file(path, np.array([[2, -1]]))
-        assert not path.exists()
+        mask = np.random.default_rng(3).random((9, 4)) < 0.5
+        save_dataset(one_space_dataset(np.zeros((9, 1)), mask), tmp_path)
+        np.testing.assert_array_equal(load_dataset(tmp_path).query_mask, mask)
 
     def test_stray_byte_value_rejected(self, tmp_path):
-        path = tmp_path / "m.msk"
-        header = b"A2AM" + struct.pack("<HHQQ", 1, 0, 1, 2)
-        path.write_bytes(header + b"\x01\x02")
-        with pytest.raises(DataFormatError):
-            read_mask_file(path)
+        ds = one_space_dataset(np.zeros((1, 1)), np.array([[1, 0]], dtype=bool))
+        path = saved_file(tmp_path, ds, "query_mask.msk")
+        path.write_bytes(b"A2AM" + struct.pack("<HHQQ", 1, 0, 1, 2) + b"\x01\x02")
+        with pytest.raises(DataFormatError, match="query mask: not a 2-D matrix of 0s and 1s"):
+            load_dataset(tmp_path)
 
 
 class TestRelevanceFiles:
@@ -518,7 +517,7 @@ class TestDatasetValidation:
                 ds.query_mask, ds.reference_mask, ds.relevance,
             )
 
-    @pytest.mark.parametrize("value", [2, 0.5])
+    @pytest.mark.parametrize("value", [2, -1, 0.5])
     @pytest.mark.parametrize("side", ["query_mask", "reference_mask"])
     def test_mask_values_other_than_0_and_1_rejected(self, side, value):
         ds = tiny_dataset()
@@ -529,6 +528,21 @@ class TestDatasetValidation:
             MultimodalDataset(ds.schema, ds.query_embeddings,
                               ds.reference_embeddings, relevance=ds.relevance,
                               **masks)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e300],
+                             ids=["inf", "nan", "past-float32"])
+    def test_values_not_finite_at_float32_rejected(self, value):
+        # 1e300 is finite at float64 but inf once cast to the stored float32
+        ds = tiny_dataset()
+        rows = np.ones((3, 3))
+        rows[1, 2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="query embedding a/s1: not a 2-D "
+                                                      "matrix of finite float32 values"):
+                MultimodalDataset(ds.schema, {**ds.query_embeddings, ("a", "s1"): rows},
+                                  ds.reference_embeddings, ds.query_mask,
+                                  ds.reference_mask, ds.relevance)
 
     def test_dim_mismatch_rejected(self):
         ds = tiny_dataset()
@@ -711,18 +725,32 @@ class TestLoadChecks:
     '''load_dataset checks each array's values once, in MultimodalDataset,
     and a refusal names the manifest and the array.'''
 
-    def test_each_array_is_checked_once(self, tmp_path, monkeypatch):
-        save_dataset(tiny_dataset(), tmp_path / "data")
+    @staticmethod
+    def count_checks(monkeypatch):
+        '''A list that, from now on, gets the name of each array that
+        _embedding or _mask checks.'''
         checked = []
         for name in ("_embedding", "_mask"):
             rule = getattr(dataset_module, name)
             monkeypatch.setattr(dataset_module, name,
                                 lambda arr, where, rule=rule: checked.append(where)
                                 or rule(arr, where))
+        return checked
+
+    def test_each_array_is_checked_once(self, tmp_path, monkeypatch):
+        save_dataset(tiny_dataset(), tmp_path / "data")
+        checked = self.count_checks(monkeypatch)
         load_dataset(tmp_path / "data")
         assert sorted(checked) == [
             "query embedding a/s1", "query embedding b/s2", "query mask",
             "reference embedding a/s1", "reference embedding b/s2", "reference mask"]
+
+    def test_save_checks_no_array_again(self, tmp_path, monkeypatch):
+        # the dataset checked every array when it was built
+        ds = tiny_dataset()
+        checked = self.count_checks(monkeypatch)
+        save_dataset(ds, tmp_path / "data")
+        assert checked == []
 
     @pytest.mark.parametrize("name, raw, message", [
         ("query_a_s1.emb", struct.pack("<f", math.nan),
@@ -764,10 +792,14 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"old"
 
     def test_matrix_files_are_written_in_row_order(self, tmp_path):
-        matrix = np.arange(6, dtype=np.float32).reshape(2, 3)
-        write_embedding_file(tmp_path / "c.emb", matrix)
-        write_embedding_file(tmp_path / "f.emb", np.asfortranarray(matrix))
-        assert (tmp_path / "c.emb").read_bytes() == (tmp_path / "f.emb").read_bytes()
+        rows = np.arange(6, dtype=np.float32).reshape(2, 3)
+        mask = np.array([[1, 0], [0, 1]], dtype=bool)
+        save_dataset(one_space_dataset(rows, mask), tmp_path / "c")
+        save_dataset(one_space_dataset(np.asfortranarray(rows), np.asfortranarray(mask)),
+                     tmp_path / "f")
+        for name in ("query_m0_s.emb", "query_mask.msk"):
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "f" / name).read_bytes()
+        assert (tmp_path / "c" / "query_m0_s.emb").read_bytes()[24:] == rows.tobytes()
 
 
 def test_failed_rename_leaves_no_file(tmp_path, monkeypatch):

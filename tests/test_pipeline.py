@@ -28,10 +28,8 @@ from conformal_retrieval.dataset import (
     DataFormatError,
     MultimodalDataset,
     RelevanceMap,
-    read_embedding_file,
-    read_mask_file,
-    write_embedding_file,
-    write_mask_file,
+    load_dataset,
+    save_dataset,
 )
 from conformal_retrieval.pipeline import (
     CalibratedModel,
@@ -334,6 +332,10 @@ class TestFitModel:
         pytest.param([0, 1], (True, 7), "ratio must be a number in", id="bool-ratio"),
         pytest.param([0, 1], (np.True_, 7), "ratio must be a number in",
                      id="numpy-bool-ratio"),
+        pytest.param([0, 1], ("0.5", 7), r"ratio must be a number in \[0, 1\], got '0.5'",
+                     id="string-ratio"),
+        pytest.param([0, 1], (None, 7), "ratio must be a number in", id="none-ratio"),
+        pytest.param([0, 1], (0.5j, 7), "ratio must be a number in", id="complex-ratio"),
     ])
     def test_bad_arguments_rejected(self, tiny_dataset, calibration_ids, subsample,
                                     message):
@@ -588,12 +590,16 @@ def tiny_model():
     return CalibratedModel("f" * 64, Fuser.MEAN, {("a", "a"): band}, band)
 
 
+def save_synth_dataset(root):
+    save_dataset(synth_dataset(), root)
+
+
+# kind: (file to damage, writer of a directory holding it, reader of that directory)
 BINARY_FILES = {
-    "emb": (lambda path: write_embedding_file(path, np.ones((2, 3))),
-            read_embedding_file),
-    "msk": (lambda path: write_mask_file(path, np.ones((2, 3), dtype=bool)),
-            read_mask_file),
-    "model": (lambda path: save_model(tiny_model(), path), load_model),
+    "emb": ("query_a_s1.emb", save_synth_dataset, load_dataset),
+    "msk": ("query_mask.msk", save_synth_dataset, load_dataset),
+    "model": ("model.bin", lambda root: save_model(tiny_model(), root / "model.bin"),
+              lambda root: load_model(root / "model.bin")),
 }
 
 
@@ -607,12 +613,12 @@ BINARY_FILES = {
 ])
 @pytest.mark.parametrize("kind", sorted(BINARY_FILES))
 def test_shared_header_checks(tmp_path, kind, mutate, message):
-    write, read = BINARY_FILES[kind]
-    path = tmp_path / f"file.{kind}"
-    write(path)
+    name, write, read = BINARY_FILES[kind]
+    write(tmp_path)
+    path = tmp_path / name
     path.write_bytes(mutate(path.read_bytes()))
     with pytest.raises(DataFormatError, match=message):
-        read(path)
+        read(tmp_path)
 
 
 def rewrite_metadata(path, edit):

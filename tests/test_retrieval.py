@@ -462,6 +462,7 @@ ID_CALLS = {
     "score_grid": lambda model, ds, ids: score_grid(model, ds, ids),
     "fit_model": lambda model, ds, ids: fit_model(ds, ids),
     "retrieve": lambda model, ds, ids: retrieve(model, ds, ids[0]),
+    "retrieve_shortlist": lambda model, ds, ids: retrieve_shortlist(model, ds, ids[0], 3),
     "batch_retrieve": lambda model, ds, ids: batch_retrieve(model, ds, ids),
     "heuristic_baseline": lambda model, ds, ids: heuristic_baseline(
         ds, [("a", "a")], ids),

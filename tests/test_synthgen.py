@@ -7,6 +7,7 @@ alignment at zero noise, and monotone degradation as noise grows.
 '''
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,18 @@ class TestHeuristicBaseline:
             heuristic_baseline(tiny_dataset, [("a", "a"), ("a", "a")])
         with pytest.raises(ValueError):
             heuristic_baseline(tiny_dataset, [("a", "a")], k=0)
+
+    @pytest.mark.parametrize("entry", ["ab", ("a", "a", "a"), None],
+                             ids=["string", "three-items", "none"])
+    def test_rejects_entries_that_are_not_pairs(self, tiny_dataset, entry):
+        # "ab" is not read as the pair ("a", "b")
+        with pytest.raises(ValueError, match=f"priority entry {re.escape(repr(entry))} "
+                                             "is not a modality pair"):
+            heuristic_baseline(tiny_dataset, [("a", "a"), entry])
+
+    def test_accepts_pairs_given_as_lists(self, tiny_dataset):
+        assert heuristic_baseline(tiny_dataset, [["a", "a"], ["b", "b"]]) == \
+            heuristic_baseline(tiny_dataset, [("a", "a"), ("b", "b")])
 
     @pytest.mark.parametrize("bad", [-1, 99])
     def test_rejects_query_ids_out_of_range(self, tiny_dataset, bad):
